@@ -24,13 +24,13 @@ use fsw_sched::chain::{
 use fsw_sched::engine::frontier::DEFAULT_FRONTIER_CAP;
 use fsw_sched::engine::CanonicalSpace;
 use fsw_sched::engine::EvalCache;
-use fsw_sched::engine::SearchStrategy;
 use fsw_sched::latency::{multiport_proportional_latency, oneport_latency_search};
-use fsw_sched::minperiod::{
-    exhaustive_dag_best, exhaustive_forest_best, minperiod_local_search, MinPeriodOptions,
-    PeriodEvaluation,
-};
+use fsw_sched::minperiod::{minperiod_local_search, MinPeriodOptions, PeriodEvaluation};
 use fsw_sched::oneport::{oneport_period_search, OnePortStyle};
+use fsw_sched::oracle::{
+    classed_representatives, classed_scan, exhaustive_dag_best, exhaustive_forest_best,
+    forest_representatives,
+};
 use fsw_sched::orchestrator::{solve, solve_all, solve_warm, Objective, Problem, SearchBudget};
 use fsw_sched::outorder::OutOrderOptions;
 use fsw_sched::overlap::overlap_period_lower_bound;
@@ -529,10 +529,7 @@ pub fn e12_symmetry_scaling() -> Vec<ExperimentRow> {
             Some((n as f64).powi(n as i32)),
             classes as f64,
         ));
-        let covered: u128 = CanonicalSpace::forest_representatives(n)
-            .iter()
-            .map(|rep| rep.orbit)
-            .sum();
+        let covered: u128 = forest_representatives(n).iter().map(|rep| rep.orbit).sum();
         rows.push(ExperimentRow::new(
             format!("n={n}: labelled forests covered by the orbits (paper column = (n+1)^(n-1))"),
             Some(fsw_core::labelled_forests(n) as f64),
@@ -562,7 +559,7 @@ pub fn e12_symmetry_scaling() -> Vec<ExperimentRow> {
 /// (tiered) query-optimisation instances, n = 8..11 with 2–3 weight
 /// classes: the raw `n^n` parent-function space against the coloured
 /// (class-preserving-orbit) class space the searches actually enumerate
-/// (`fsw_sched::engine::CanonicalSpace::classed_representatives`), the
+/// (`fsw_sched::oracle::classed_representatives`), the
 /// orbit-accounting identity `Σ Π_c |class c|!/|Aut| == (n+1)^(n-1)`
 /// labelled forests, and the resulting optima — exhaustive within the
 /// *default* `SearchBudget`, a regime the uniform-only reduction of E12
@@ -576,7 +573,7 @@ pub fn e13_partial_symmetry_scaling() -> Vec<ExperimentRow> {
     for sizes in tiers {
         let n: usize = sizes.iter().sum();
         let app = tiered_query_optimization(sizes, &mut rng);
-        let reps = CanonicalSpace::classed_representatives(&app, budget.max_graphs)
+        let reps = classed_representatives(&app, budget.max_graphs)
             .expect("coloured class spaces of the sweep fit the default cap");
         rows.push(ExperimentRow::new(
             format!(
@@ -1679,28 +1676,29 @@ pub fn e10s_smoke() -> Vec<ExperimentRow> {
         None,
         solution.value,
     ));
-    // Best-first smoke: the same instance under both explicit strategies —
-    // best-first must reproduce the depth-first value bit-for-bit (the
-    // equivalence suites guard the winner too) while exercising the
-    // bound-ordered frontier end to end in CI.
-    let depth_first = solve(
-        &Problem::new(&tiered, CommModel::Overlap, Objective::MinPeriod),
-        &budget.with_search_strategy(SearchStrategy::DepthFirst),
-    )
-    .expect("solver");
-    let best_first = solve(
-        &Problem::new(&tiered, CommModel::Overlap, Objective::MinPeriod),
-        &budget.with_search_strategy(SearchStrategy::BestFirst),
-    )
-    .expect("solver");
+    // Oracle smoke: the default solve streams this instance through the
+    // bound-ordered walk; its value must equal the plain scan over the
+    // materialised coloured representatives bit-for-bit (the equivalence
+    // suites guard the winner too).
+    let scan_value = classed_scan(&tiered, budget.max_graphs, |g| {
+        PlanMetrics::compute(&tiered, g)
+            .map(|m| m.period_lower_bound(CommModel::Overlap))
+            .unwrap_or(f64::INFINITY)
+    })
+    .expect("the 5+4 coloured space fits the default cap")
+    .0;
+    assert_eq!(
+        solution.value, scan_value,
+        "streamed walk must reproduce the oracle classed scan bit-for-bit"
+    );
     rows.push(ExperimentRow::new(
-        "MINPERIOD OVERLAP n=9 tiered 5+4: best-first strategy (paper column = depth-first value)",
-        Some(depth_first.value),
-        best_first.value,
+        "MINPERIOD OVERLAP n=9 tiered 5+4: streamed value (paper column = oracle classed scan)",
+        Some(scan_value),
+        solution.value,
     ));
     // Lazy-classed smoke (PR-6): the same tiered instance driven through the
     // streamed bound-ordered generator, its value *asserted* equal to the
-    // materialised depth-first walk and its telemetry pinned as a row — so a
+    // oracle classed scan and its telemetry pinned as a row — so a
     // regression in the lazy path (wrong winner, runaway expansion, broken
     // telemetry) fails CI inside the existing smoke timeout.
     let (lazy, stats) = solve_warm(
@@ -1711,8 +1709,8 @@ pub fn e10s_smoke() -> Vec<ExperimentRow> {
     )
     .expect("solver");
     assert_eq!(
-        lazy.value, depth_first.value,
-        "lazy streamed walk must reproduce the materialised depth-first value bit-for-bit"
+        lazy.value, scan_value,
+        "lazy streamed walk must reproduce the oracle classed scan bit-for-bit"
     );
     let stream = stats
         .stream
@@ -1853,20 +1851,19 @@ pub fn e10s_smoke() -> Vec<ExperimentRow> {
         Some(1.0),
         response.value / lower_bound,
     ));
-    // Uniform streamed smoke (PR-7): the materialise-then-scan uniform entry
-    // point is gone, so the streamed value is *asserted* against a manual
-    // depth-first scan over the materialised canonical representatives
-    // (1 842 classes at n = 10) — the winner must stay bit-identical, and
-    // the stream telemetry must be populated on the uniform fast path.
+    // Uniform streamed smoke (PR-7): the streamed value is *asserted*
+    // against the oracle scan over the materialised canonical
+    // representatives (1 842 classes at n = 10) — the winner must stay
+    // bit-identical, and the stream telemetry must be populated on the
+    // uniform fast path.
     let uniform10 = uniform_query_optimization(10, &mut rng);
-    let depth_first_value = CanonicalSpace::forest_representatives(10)
-        .iter()
-        .map(|rep| {
-            PlanMetrics::compute(&uniform10, &rep.graph())
-                .map(|m| m.period_lower_bound(CommModel::Overlap))
-                .unwrap_or(f64::INFINITY)
-        })
-        .fold(f64::INFINITY, f64::min);
+    let depth_first_value = classed_scan(&uniform10, budget.max_graphs, |g| {
+        PlanMetrics::compute(&uniform10, g)
+            .map(|m| m.period_lower_bound(CommModel::Overlap))
+            .unwrap_or(f64::INFINITY)
+    })
+    .expect("the uniform n=10 canonical space fits the default cap")
+    .0;
     let (streamed, stats) = solve_warm(
         &Problem::new(&uniform10, CommModel::Overlap, Objective::MinPeriod),
         &budget,

@@ -116,7 +116,7 @@ mod tests {
         ];
         for app in apps {
             let greedy = nocomm_optimal_period(&app).unwrap();
-            let exhaustive = crate::minperiod::exhaustive_forest_best(&app, |g| {
+            let exhaustive = crate::oracle::exhaustive_forest_best(&app, |g| {
                 nocomm_period(&app, g).unwrap_or(f64::INFINITY)
             })
             .unwrap()

@@ -16,6 +16,7 @@
 //! | Theorem 4 — MINLATENCY solvers | [`minlatency`] |
 //! | Srivastava et al. no-communication baseline | [`baseline`] |
 //! | prune-and-memoise search engine (incumbents, canonical ordering cache, symmetry-reduced enumeration) | [`engine`] |
+//! | brute-force reference searches, for tests and experiments only | [`oracle`] |
 //!
 //! ```
 //! use fsw_core::{Application, CommModel, ExecutionGraph};
@@ -43,6 +44,7 @@ pub mod latency;
 pub mod minlatency;
 pub mod minperiod;
 pub mod oneport;
+pub mod oracle;
 pub mod orchestrator;
 pub mod orderings;
 pub mod outorder;
@@ -51,10 +53,7 @@ pub mod par;
 pub mod tree;
 
 pub use chain::{chain_latency, chain_minlatency_order, chain_minperiod_order, chain_period};
-pub use engine::{
-    CanonicalRep, CanonicalSpace, EvalCache, ForestCursor, Incumbent, PartialPrune, SearchStrategy,
-    Symmetry,
-};
+pub use engine::{CanonicalRep, CanonicalSpace, EvalCache, Incumbent, PartialPrune, Symmetry};
 pub use latency::{
     latency_lower_bound, multiport_latency, multiport_proportional_latency,
     oneport_latency_for_orderings, oneport_latency_search, oneport_latency_search_bounded,

@@ -20,9 +20,7 @@ use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, PlanMetrics, 
 
 use crate::chain::{chain_graph, chain_minlatency_order};
 use crate::engine::frontier::StreamProbe;
-use crate::engine::{
-    prune_threshold, tags, CanonicalSpace, EvalCache, PartialPrune, SearchStrategy, Symmetry,
-};
+use crate::engine::{prune_threshold, tags, CanonicalSpace, EvalCache, PartialPrune, Symmetry};
 use crate::latency::{
     latency_lower_bound_with, multiport_proportional_latency, oneport_latency_search,
     oneport_latency_search_prepared, LatencyEvaluator,
@@ -47,9 +45,6 @@ pub struct MinLatencyOptions {
     pub local_search_passes: usize,
     /// Instances up to this size are also searched over all DAGs.
     pub dag_enumeration_max_n: usize,
-    /// How the exhaustive forest search walks its candidate space (see
-    /// [`SearchStrategy`]); solutions are bit-identical either way.
-    pub strategy: SearchStrategy,
 }
 
 impl Default for MinLatencyOptions {
@@ -60,7 +55,6 @@ impl Default for MinLatencyOptions {
             forest_enumeration_cap: 2_000_000,
             local_search_passes: 32,
             dag_enumeration_max_n: 5,
-            strategy: SearchStrategy::Auto,
         }
     }
 }
@@ -130,7 +124,6 @@ pub fn exhaustive_forest_minlatency(
         // Algorithm 1 is exact and purely structural (children combine in
         // value order), hence invariant under class-preserving relabellings.
         Symmetry::Classes,
-        SearchStrategy::Auto,
         &|g, _| forest_latency_eval(app, g),
     )
     .map(|out| (out.value, out.graph))
@@ -372,7 +365,6 @@ pub(crate) fn minimize_latency_engine_seeded(
             // Algorithm 1 is exact and purely structural, hence invariant
             // under class-preserving relabellings (the `Classes` gate).
             Symmetry::Classes,
-            options.strategy,
             incumbent_seed,
             &eval,
             probe,

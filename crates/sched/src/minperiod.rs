@@ -26,17 +26,16 @@ use fsw_core::{
 
 use crate::chain::{chain_graph, chain_minperiod_order};
 use crate::engine::frontier::{
-    best_first_forest_search_stats, streamed_canonical_search_observed, EngineMetrics, StreamProbe,
-    StreamStats, DEFAULT_FRONTIER_CAP,
+    streamed_canonical_search_observed, EngineMetrics, StreamProbe, StreamStats,
+    DEFAULT_FRONTIER_CAP,
 };
 use crate::engine::{
-    prune_threshold, tags, CanonicalRep, CanonicalSpace, EvalCache, ForestCursor, Incumbent,
-    PartialPrune, SearchStrategy, Symmetry,
+    prune_threshold, tags, CanonicalSpace, EvalCache, Incumbent, PartialPrune, Symmetry,
 };
 use crate::oneport::{oneport_period_search, oneport_period_search_prepared, OnePortStyle};
 use crate::orderings::CommOrderings;
 use crate::outorder::{outorder_period_search, outorder_period_search_bounded, OutOrderOptions};
-use crate::par::{fold_min, par_chunks, par_chunks_weighted, Exec};
+use crate::par::{fold_min, par_chunks, Exec};
 
 /// How the period of a candidate execution graph is evaluated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,10 +64,6 @@ pub struct MinPeriodOptions {
     pub forest_enumeration_cap: usize,
     /// Number of hill-climbing passes of the local search.
     pub local_search_passes: usize,
-    /// How the exhaustive searches walk their candidate space (depth-first
-    /// branch-and-bound vs best-first over the partial bound); both return
-    /// bit-identical solutions, see [`SearchStrategy`].
-    pub strategy: SearchStrategy,
 }
 
 impl Default for MinPeriodOptions {
@@ -78,7 +73,6 @@ impl Default for MinPeriodOptions {
             evaluation: PeriodEvaluation::LowerBound,
             forest_enumeration_cap: 2_000_000,
             local_search_passes: 32,
-            strategy: SearchStrategy::Auto,
         }
     }
 }
@@ -149,39 +143,11 @@ pub struct SearchOutcome {
     pub complete: bool,
 }
 
-/// Enumerates every forest execution graph (as a parent function) compatible
-/// with the application's precedence constraints and returns the one
-/// minimising `eval`.  Returns `None` when the search space exceeds the
-/// default cap or when no feasible forest exists.
-pub fn exhaustive_forest_best<F: FnMut(&ExecutionGraph) -> f64>(
-    app: &Application,
-    mut eval: F,
-) -> Option<(f64, ExecutionGraph)> {
-    exhaustive_forest_best_capped(app, 2_000_000, &mut eval)
-}
-
-/// [`exhaustive_forest_best`] with an explicit cap on the number of parent
-/// functions examined.
-pub fn exhaustive_forest_best_capped<F: FnMut(&ExecutionGraph) -> f64>(
-    app: &Application,
-    cap: usize,
-    eval: &mut F,
-) -> Option<(f64, ExecutionGraph)> {
-    if forest_space_size(app.n())? > cap {
-        return None;
-    }
-    let mut parents: Vec<Option<ServiceId>> = vec![None; app.n()];
-    let mut best: Option<(f64, ExecutionGraph)> = None;
-    enumerate_parents(app, &mut parents, 0, &mut best, eval, None);
-    best
-}
-
-/// The budgeted, parallel, branch-and-bound variant of
-/// [`exhaustive_forest_best_capped`]: the first one or two enumeration
-/// levels (see [`Exec::split_levels`]) are expanded into tasks, split over
-/// `exec.effective_threads()` workers and reduced in enumeration order, so
-/// the result is bit-identical to the serial run; an optional deadline
-/// interrupts the enumeration (flagged via [`SearchOutcome::complete`]).
+/// The budgeted, parallel, branch-and-bound exhaustive forest search: the
+/// reference semantics are those of the brute force
+/// ([`crate::oracle::exhaustive_forest_best`], first minimum in enumeration
+/// order), and an optional deadline interrupts the enumeration (flagged via
+/// [`SearchOutcome::complete`]).
 ///
 /// `eval` receives the current incumbent as a *cutoff*: it may return any
 /// value above the cutoff (typically `∞`) for candidates it can prove cannot
@@ -189,96 +155,56 @@ pub fn exhaustive_forest_best_capped<F: FnMut(&ExecutionGraph) -> f64>(
 /// admissible partial-assignment bound (maintained incrementally by
 /// [`PartialForestMetrics`]) used to discard whole subtrees; subtrees are
 /// pruned only when their bound *strictly* clears the shared incumbent, so
-/// the first-minimum winner of the brute-force enumeration always survives,
-/// whatever the thread count.
+/// the first-minimum winner always survives, whatever the thread count.
 ///
-/// Under [`Symmetry::Auto`] on a reducible instance (uniform weights, no
-/// constraints — see [`CanonicalSpace`]) the search enumerates **canonical
-/// forest representatives** instead of all `n^n` parent functions: the cap
-/// is then measured against the class count (1 842 classes at `n = 10`
-/// versus `10^10` parent functions), the optimum *value* is unchanged, and
-/// the winner is the canonical tie-break representative.  Callers passing
-/// `Auto` assert that `eval` is label-invariant on uniform weights.
+/// The walk is a fact of the instance, not an option:
 ///
-/// [`Symmetry::Classes`] extends the reduction to **multi-weight-class**
-/// instances (class-preserving relabelling orbits, cap measured against the
-/// coloured class count): callers assert the stronger class-invariance of
-/// `eval` — see the bit-safety discussion on [`Symmetry`].  When the
-/// coloured space exceeds the cap the search falls back to the raw labelled
-/// enumeration (value-exact by construction) before giving up.
-///
-/// `strategy` picks the walk ([`SearchStrategy`]): depth-first
-/// branch-and-bound or best-first over the partial bound (bounded frontier,
-/// spill-to-DFS).  Solutions are bit-identical either way; `Auto` uses
-/// best-first on the canonical orbit spaces and depth-first on the raw
-/// labelled space.
+/// * under [`Symmetry::Auto`] on a reducible instance (uniform weights, no
+///   constraints — see [`CanonicalSpace`]), or under [`Symmetry::Classes`]
+///   on a class-reducible one (several weight classes, some with two or
+///   more members), the search streams the **canonical orbit
+///   representatives** bound-first without materialising them
+///   ([`crate::engine::frontier::streamed_canonical_search`]).  The cap is
+///   measured against the shape count (1 842 shapes at `n = 10` versus
+///   `10^10` parent functions), the optimum *value* is unchanged, and the
+///   winner is the canonical tie-break representative.  Callers passing
+///   `Auto` assert that `eval` is label-invariant on uniform weights,
+///   callers passing `Classes` the stronger class-invariance — see the
+///   bit-safety discussion on [`Symmetry`].  A classed space whose shape
+///   count exceeds the cap falls back to the raw labelled space;
+/// * every other space is walked **depth-first** over the labelled parent
+///   functions: the first one or two enumeration levels (see
+///   [`Exec::split_levels`]) are expanded into tasks, split over
+///   `exec.effective_threads()` workers and reduced in enumeration order, so
+///   the result is bit-identical to the serial run.
 pub fn exhaustive_forest_search<F>(
     app: &Application,
     cap: usize,
     exec: Exec,
     prune: PartialPrune,
     symmetry: Symmetry,
-    strategy: SearchStrategy,
     eval: &F,
 ) -> Option<SearchOutcome>
 where
     F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
 {
-    exhaustive_forest_search_seeded(
-        app,
-        cap,
-        exec,
-        prune,
-        symmetry,
-        strategy,
-        f64::INFINITY,
-        eval,
-    )
+    exhaustive_forest_search_probed(app, cap, exec, prune, symmetry, f64::INFINITY, eval, None)
 }
 
 /// [`exhaustive_forest_search`] with the shared incumbent **seeded** with a
 /// known upper bound (the warm-start entry of the serving layer: the value
-/// of a previous plan adapted to the mutated instance).
+/// of a previous plan adapted to the mutated instance) and an optional
+/// [`StreamProbe`] recording the walk's [`StreamStats`] — the telemetry
+/// channel behind `SolveStats::stream`.
 ///
-/// Seeding preserves bit-identity as long as `seed` is an upper bound on
-/// the searched space's optimum (any feasible candidate's value is): both
-/// the subtree pruning and the bound-clearance certificate fire only on a
-/// *strict* clearance of the incumbent, so every candidate tying the
-/// optimum is still evaluated and the first-minimum winner is unchanged —
-/// the search merely skips the hopeless region it would otherwise have
+/// Seeding preserves bit-identity as long as `incumbent_seed` is an upper
+/// bound on the searched space's optimum (any feasible candidate's value
+/// is): both the subtree pruning and the bound-clearance certificate fire
+/// only on a *strict* clearance of the incumbent, so every candidate tying
+/// the optimum is still evaluated and the first-minimum winner is unchanged
+/// — the search merely skips the hopeless region it would otherwise have
 /// walked to re-discover the bound.  `f64::INFINITY` recovers the cold
 /// search exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn exhaustive_forest_search_seeded<F>(
-    app: &Application,
-    cap: usize,
-    exec: Exec,
-    prune: PartialPrune,
-    symmetry: Symmetry,
-    strategy: SearchStrategy,
-    incumbent_seed: f64,
-    eval: &F,
-) -> Option<SearchOutcome>
-where
-    F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
-{
-    exhaustive_forest_search_probed(
-        app,
-        cap,
-        exec,
-        prune,
-        symmetry,
-        strategy,
-        incumbent_seed,
-        eval,
-        None,
-    )
-}
-
-/// [`exhaustive_forest_search_seeded`] with an optional [`StreamProbe`]
-/// recording the lazy walk's [`StreamStats`](crate::engine::frontier::StreamStats)
-/// when the search resolves to the streamed canonical path — the telemetry
-/// channel behind `SolveStats::stream`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exhaustive_forest_search_probed<F>(
     app: &Application,
@@ -286,7 +212,6 @@ pub(crate) fn exhaustive_forest_search_probed<F>(
     exec: Exec,
     prune: PartialPrune,
     symmetry: Symmetry,
-    strategy: SearchStrategy,
     incumbent_seed: f64,
     eval: &F,
     probe: Option<&StreamProbe>,
@@ -298,27 +223,23 @@ where
     if n == 0 {
         return None;
     }
-    // Stage spans resolve once per solve, and only when the probe carries a
-    // registry — the plain path pays nothing.
-    let engine_obs = probe
-        .and_then(|p| p.metrics())
-        .map(|registry| EngineMetrics::new(registry));
-    if symmetry != Symmetry::Full && CanonicalSpace::reducible(app) {
-        if CanonicalSpace::forest_class_count(n) > cap as u128 {
-            return None;
-        }
-        // Every strategy resolves to the streamed walk on the uniform
-        // canonical space: the single-class partition degenerates the
-        // colouring walk to a linear pass with one canonical colouring per
-        // shape, so nothing is ever materialised (the old depth-first path
-        // collected the full representative list up front), telemetry lands
-        // on every uniform solve, and the `(value, canonical index)` winner
-        // is bit-identical to the retired materialised scan — serial,
-        // parallel, depth-first or best-first alike.
-        let classes = WeightClasses::of(app);
+    let reducible = symmetry != Symmetry::Full && CanonicalSpace::reducible(app);
+    let classed = symmetry == Symmetry::Classes && CanonicalSpace::class_reducible(app);
+    if (reducible || classed) && CanonicalSpace::forest_class_count(n) <= cap as u128 {
+        // The streamed walk never materialises the coloured space, so its
+        // budget gate is the *shape* count (A000081, 32 973 at n = 13)
+        // rather than the coloured class count — tiered spaces whose
+        // coloured count dwarfs the cap stay exhaustively searchable.  On
+        // uniform instances the single-class partition degenerates the
+        // colouring walk to a linear pass with one colouring per shape.
+        // Stage spans resolve once per solve, and only when the probe
+        // carries a registry — the plain path pays nothing.
+        let engine_obs = probe
+            .and_then(|p| p.metrics())
+            .map(|registry| EngineMetrics::new(registry));
         let (outcome, stats) = streamed_canonical_search_observed(
             app,
-            &classes,
+            &WeightClasses::of(app),
             exec,
             prune,
             DEFAULT_FRONTIER_CAP,
@@ -329,73 +250,15 @@ where
         if let Some(p) = probe {
             p.record(stats);
         }
+        // `None` means the deadline expired before any candidate was
+        // examined: degrade to the heuristic fallback, not the raw walk.
         return outcome;
     }
-    if symmetry == Symmetry::Classes && CanonicalSpace::class_reducible(app) {
-        if strategy == SearchStrategy::DepthFirst {
-            match CanonicalSpace::classed_representatives_within(app, cap, exec.deadline) {
-                crate::engine::ClassedGeneration::Generated(reps) => {
-                    // Telemetry attaches on every strategy (see
-                    // `SolveStats::stream`): the materialised walk reports
-                    // the whole representative list as resident — the
-                    // honest contrast with the streamed walk's bounded
-                    // residency — and the coloured-orbit total these
-                    // representatives stand for.
-                    let expanded = AtomicU64::new(0);
-                    let counted = |graph: &ExecutionGraph, incumbent: f64| {
-                        expanded.fetch_add(1, Ordering::Relaxed);
-                        eval(graph, incumbent)
-                    };
-                    let orbits = reps
-                        .iter()
-                        .try_fold(0u128, |acc, rep| acc.checked_add(rep.orbit));
-                    let outcome =
-                        canonical_forest_search(app, &reps, exec, prune, incumbent_seed, &counted);
-                    if let Some(p) = probe {
-                        p.record(StreamStats {
-                            shapes: reps.len(),
-                            orbits,
-                            expanded: expanded.load(Ordering::Relaxed),
-                            peak_resident: reps.len(),
-                            certified_shapes: 0,
-                        });
-                    }
-                    return outcome;
-                }
-                // Deadline passed before the space was even materialised: no
-                // candidate was examined, so degrade to the heuristic
-                // fallback (flagged non-exhaustive by the caller) instead of
-                // blocking.
-                crate::engine::ClassedGeneration::DeadlineExpired => return None,
-                // Coloured class space over the cap: fall through to the raw
-                // space, which may still fit.
-                crate::engine::ClassedGeneration::CapExceeded => {}
-            }
-        } else if CanonicalSpace::forest_class_count(n) <= cap as u128 {
-            // The streamed best-first walk never materialises the coloured
-            // space, so its budget gate is the *shape* count (A000081,
-            // 32 973 at n = 13) rather than the coloured class count that
-            // bounds the depth-first materialisation — tiered spaces whose
-            // coloured count dwarfs the cap stay exhaustively searchable.
-            // Beyond the shape cap, fall through to the raw-space gates.
-            let classes = WeightClasses::of(app);
-            let (outcome, stats) = streamed_canonical_search_observed(
-                app,
-                &classes,
-                exec,
-                prune,
-                DEFAULT_FRONTIER_CAP,
-                incumbent_seed,
-                eval,
-                engine_obs.as_ref(),
-            );
-            if let Some(p) = probe {
-                p.record(stats);
-            }
-            // `None` means the deadline expired before any candidate was
-            // examined: degrade to the heuristic fallback, not the raw walk.
-            return outcome;
-        }
+    if reducible {
+        // The uniform canonical space is the smallest space this instance
+        // has: beyond the cap there is nothing left to walk.  (A classed
+        // space over the shape cap falls through: the raw space may fit.)
+        return None;
     }
     let space = forest_space_size(n)?;
     if space > cap {
@@ -409,26 +272,6 @@ where
         expanded.fetch_add(1, Ordering::Relaxed);
         eval(graph, incumbent)
     };
-    if strategy == SearchStrategy::BestFirst {
-        let (outcome, frontier) = best_first_forest_search_stats(
-            app,
-            exec,
-            prune,
-            DEFAULT_FRONTIER_CAP,
-            incumbent_seed,
-            &counted,
-        );
-        if let Some(p) = probe {
-            p.record(StreamStats {
-                shapes: 0,
-                orbits: Some(space as u128),
-                expanded: expanded.load(Ordering::Relaxed),
-                peak_resident: frontier.peak,
-                certified_shapes: 0,
-            });
-        }
-        return outcome;
-    }
     let incumbent = Incumbent::seeded(incumbent_seed);
     let prefixes = forest_task_prefixes(n, exec.effective_split_levels());
     let parts = par_chunks(exec.effective_threads(), &prefixes, |_base, chunk| {
@@ -499,68 +342,8 @@ fn forest_task_prefixes(n: usize, levels: usize) -> Vec<Vec<Option<ServiceId>>> 
     }
 }
 
-/// The depth-first symmetry-reduced forest search over a **materialised**
-/// canonical orbit stream (uniform or class-coloured): one evaluation per
-/// representative, with the partial-assignment bound applied by a
-/// [`ForestCursor`] *before* a representative is materialised.
-///
-/// The stream is scanned in canonical order, chunked by **orbit weight**
-/// ([`par_chunks_weighted`]) so that representatives standing for huge
-/// orbits — which cluster early in the stream — stop load-imbalancing the
-/// workers; chunks keep the enumeration order, so the fold is deterministic
-/// for every thread count and the winner is the first optimum in canonical
-/// order.  The `Auto` / `BestFirst` strategies never materialise the stream
-/// at all — they walk it lazily bound-first ([`streamed_canonical_search`]),
-/// which reaches the same winner (the `(value, enumeration index)` minimum)
-/// after expanding far fewer orbits.
-fn canonical_forest_search<F>(
-    app: &Application,
-    reps: &[CanonicalRep],
-    exec: Exec,
-    prune: PartialPrune,
-    incumbent_seed: f64,
-    eval: &F,
-) -> Option<SearchOutcome>
-where
-    F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
-{
-    let incumbent = Incumbent::seeded(incumbent_seed);
-    let weight_of = |rep: &CanonicalRep| u64::try_from(rep.orbit).unwrap_or(u64::MAX);
-    let parts = par_chunks_weighted(exec.effective_threads(), reps, weight_of, |_base, chunk| {
-        let mut best: Option<(f64, ExecutionGraph)> = None;
-        let mut complete = true;
-        let mut cursor = ForestCursor::new(app, prune);
-        for rep in chunk {
-            if exec.deadline.is_some_and(|d| Instant::now() >= d) {
-                complete = false;
-                break;
-            }
-            let Some(graph) = cursor.advance_rep(rep, incumbent.get()) else {
-                continue; // pruned before materialisation
-            };
-            let value = eval(&graph, incumbent.get());
-            if best.as_ref().is_none_or(|(b, _)| value < *b) {
-                incumbent.offer(value);
-                best = Some((value, graph));
-            }
-        }
-        (best, complete)
-    });
-    let complete = parts.iter().all(|(_, c)| *c);
-    let best = fold_min(parts.into_iter().map(|(b, _)| b).collect());
-    best.map(|(value, graph)| SearchOutcome {
-        value,
-        graph,
-        complete,
-    })
-}
-
 /// Branch-and-bound enumeration of parent functions from the current prefix
 /// of `partial`.  Returns `false` when the deadline interrupted this subtree.
-///
-/// The best-first spill path (`engine::frontier::dfs_complete`) mirrors this
-/// walker's prune rule and choice order to keep the two strategies
-/// bit-identical — change them together.
 fn enumerate_parents_pruned<F>(
     app: &Application,
     partial: &mut PartialForestMetrics<'_>,
@@ -626,7 +409,7 @@ where
 }
 
 /// Size of the parent-function space (`n^n`, saturating); `None` for `n == 0`.
-fn forest_space_size(n: usize) -> Option<usize> {
+pub(crate) fn forest_space_size(n: usize) -> Option<usize> {
     if n == 0 {
         return None;
     }
@@ -637,81 +420,15 @@ fn forest_space_size(n: usize) -> Option<usize> {
     Some(size)
 }
 
-/// Recursive enumeration of parent functions from level `k`.  Returns `false`
-/// when the deadline interrupted the enumeration of this subtree.
-fn enumerate_parents<F: FnMut(&ExecutionGraph) -> f64>(
-    app: &Application,
-    parents: &mut Vec<Option<ServiceId>>,
-    k: usize,
-    best: &mut Option<(f64, ExecutionGraph)>,
-    eval: &mut F,
-    deadline: Option<Instant>,
-) -> bool {
-    let n = app.n();
-    if k >= n {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return false;
-        }
-        let Ok(graph) = ExecutionGraph::from_parents(parents) else {
-            return true; // the parent function contains a cycle
-        };
-        if graph.respects(app).is_err() {
-            return true;
-        }
-        let value = eval(&graph);
-        if best.as_ref().is_none_or(|(b, _)| value < *b) {
-            *best = Some((value, graph));
-        }
-        return true;
-    }
-    parents[k] = None;
-    if !enumerate_parents(app, parents, k + 1, best, eval, deadline) {
-        return false;
-    }
-    for p in 0..n {
-        if p == k {
-            continue;
-        }
-        parents[k] = Some(p);
-        if !enumerate_parents(app, parents, k + 1, best, eval, deadline) {
-            return false;
-        }
-    }
-    parents[k] = None;
-    true
-}
-
 /// Largest instance size the DAG enumeration supports: the forward-edge
 /// subsets of a permutation are encoded as a `u64` mask, so `n(n-1)/2` must
 /// stay below 64 (and the space is astronomically large well before that).
 pub const DAG_ENUMERATION_HARD_MAX_N: usize = 11;
 
-/// Enumerates every DAG execution graph on at most `max_n` services (tiny
-/// instances only) and returns the one minimising `eval`.
-///
-/// DAGs are generated as (topological permutation, subset of forward edges),
-/// which enumerates every DAG at least once.  Instances larger than
-/// [`DAG_ENUMERATION_HARD_MAX_N`] return `None` regardless of `max_n` (the
-/// edge-subset mask would overflow its 64-bit encoding).
-pub fn exhaustive_dag_best<F: FnMut(&ExecutionGraph) -> f64>(
-    app: &Application,
-    max_n: usize,
-    mut eval: F,
-) -> Option<(f64, ExecutionGraph)> {
-    let n = app.n();
-    if n == 0 || n > max_n.min(DAG_ENUMERATION_HARD_MAX_N) {
-        return None;
-    }
-    let mut order: Vec<ServiceId> = (0..n).collect();
-    let mut best: Option<(f64, ExecutionGraph)> = None;
-    permute_orders(&mut order, 0, &mut |perm| {
-        visit_dags_of_permutation(app, perm, &mut best, &mut eval, None)
-    });
-    best
-}
-
-/// The budgeted, parallel, branch-and-bound variant of
-/// [`exhaustive_dag_best`]: the first one or two permutation positions (see
+/// The budgeted, parallel, branch-and-bound exhaustive DAG search (reference
+/// semantics: [`crate::oracle::exhaustive_dag_best`]): DAGs are generated as
+/// (topological permutation, subset of forward edges), which enumerates
+/// every DAG at least once; the first one or two permutation positions (see
 /// [`Exec::split_levels`]) are expanded into tasks, split over
 /// `exec.effective_threads()` workers and reduced in enumeration order,
 /// so the result is bit-identical to the serial run; an optional deadline
@@ -918,47 +635,9 @@ where
     true
 }
 
-/// Evaluates every DAG whose edges are forward edges of `perm`.  Returns
-/// `false` when the deadline interrupted the mask enumeration.
-fn visit_dags_of_permutation<F: FnMut(&ExecutionGraph) -> f64>(
-    app: &Application,
-    perm: &[ServiceId],
-    best: &mut Option<(f64, ExecutionGraph)>,
-    eval: &mut F,
-    deadline: Option<Instant>,
-) -> bool {
-    let n = perm.len();
-    let pairs: Vec<(ServiceId, ServiceId)> = (0..n)
-        .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
-        .collect();
-    let m = pairs.len();
-    debug_assert!(m < 64, "callers bound n by DAG_ENUMERATION_HARD_MAX_N");
-    for mask in 0u64..(1u64 << m) {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return false;
-        }
-        let mut graph = ExecutionGraph::new(n);
-        for (bit, &(a, b)) in pairs.iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                graph
-                    .add_edge(perm[a], perm[b])
-                    .expect("forward edges of a permutation are acyclic");
-            }
-        }
-        if graph.respects(app).is_err() {
-            continue;
-        }
-        let value = eval(&graph);
-        if best.as_ref().is_none_or(|(b, _)| value < *b) {
-            *best = Some((value, graph));
-        }
-    }
-    true
-}
-
 /// Visits every permutation of `items[start..]`; `visit` returns `false` to
 /// abort the whole enumeration (deadline), which is propagated to the caller.
-fn permute_orders<F: FnMut(&[ServiceId]) -> bool>(
+pub(crate) fn permute_orders<F: FnMut(&[ServiceId]) -> bool>(
     items: &mut Vec<ServiceId>,
     start: usize,
     visit: &mut F,
@@ -1230,7 +909,7 @@ pub(crate) fn minimize_period_engine(
 /// evaluation counter: `incumbent_seed` pre-loads every exhaustive phase's
 /// incumbent (pass the value of a previous plan adapted to the instance;
 /// `∞` for a cold solve — winners are bit-identical either way, see
-/// [`exhaustive_forest_search_seeded`]), and `evals` is incremented once per
+/// [`exhaustive_forest_search_probed`]), and `evals` is incremented once per
 /// full candidate evaluation, so callers can measure how much of the space a
 /// warm start skipped.
 #[allow(clippy::too_many_arguments)]
@@ -1289,7 +968,6 @@ pub(crate) fn minimize_period_engine_seeded(
             exec,
             prune,
             symmetry,
-            options.strategy,
             incumbent_seed,
             &eval,
             probe,
@@ -1322,6 +1000,7 @@ pub(crate) fn minimize_period_engine_seeded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{exhaustive_dag_best, exhaustive_forest_best};
 
     #[test]
     fn single_filter_chain_beats_independence() {
@@ -1427,7 +1106,6 @@ mod tests {
                         Exec::serial(),
                         PartialPrune::Period(model),
                         Symmetry::Auto,
-                        SearchStrategy::Auto,
                         &|g, _| eval(g),
                     )
                     .unwrap();
@@ -1496,7 +1174,6 @@ mod tests {
             Exec::serial(),
             PartialPrune::Period(CommModel::InOrder),
             Symmetry::Full,
-            SearchStrategy::Auto,
             &eval,
         )
         .unwrap();
@@ -1513,7 +1190,6 @@ mod tests {
                     exec,
                     PartialPrune::Period(CommModel::InOrder),
                     Symmetry::Full,
-                    SearchStrategy::Auto,
                     &eval,
                 )
                 .unwrap();

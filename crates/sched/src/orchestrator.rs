@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, OperationList, PlanMetrics};
 
-use crate::engine::{EvalCache, SearchStrategy};
+use crate::engine::EvalCache;
 use crate::latency::{
     latency_lower_bound, multiport_proportional_latency, oneport_latency_search_exec,
 };
@@ -133,11 +133,10 @@ pub struct SearchBudget {
     pub max_orderings: usize,
     /// Bound on the execution-graph space enumerated exhaustively; beyond
     /// it the plan search falls back to seeded local search.  The space it
-    /// measures depends on the walk the search resolves to: parent
-    /// functions on the raw labelled space, coloured orbit classes on the
-    /// materialised depth-first canonical path, and **shapes** (A000081
-    /// forest-isomorphism classes — 32 973 at `n = 13`) on the lazy
-    /// streamed path, which never materialises the coloured space and so
+    /// measures depends on the walk the instance resolves to: parent
+    /// functions on the raw labelled space, and **shapes** (A000081
+    /// forest-isomorphism classes — 32 973 at `n = 13`) on the streamed
+    /// canonical walk, which never materialises the coloured space and so
     /// stays exhaustive where the coloured count dwarfs the cap.
     pub max_graphs: usize,
     /// Optional wall-clock limit.  When it expires, the graph and ordering
@@ -162,11 +161,6 @@ pub struct SearchBudget {
     /// latency optimum may require a join, unlike the period).  Hard-capped
     /// at [`crate::minperiod::DAG_ENUMERATION_HARD_MAX_N`] by the engine.
     pub dag_enumeration_max_n: usize,
-    /// How the exhaustive plan searches walk their candidate space
-    /// (depth-first branch-and-bound vs best-first over the partial bound).
-    /// Both return bit-identical solutions; see
-    /// [`SearchStrategy`](crate::engine::SearchStrategy).
-    pub search_strategy: SearchStrategy,
 }
 
 impl Default for SearchBudget {
@@ -181,7 +175,6 @@ impl Default for SearchBudget {
             outorder_node_budget: 200_000,
             outorder_refinement_steps: 8,
             dag_enumeration_max_n: 5,
-            search_strategy: SearchStrategy::Auto,
         }
     }
 }
@@ -224,13 +217,6 @@ impl SearchBudget {
         self
     }
 
-    /// Returns the budget with the given search strategy (bit-identical
-    /// solutions either way; a pure exploration-order/performance knob).
-    pub fn with_search_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.search_strategy = strategy;
-        self
-    }
-
     /// Materialises the execution strategy (resolves the deadline now).
     fn exec(&self) -> Exec {
         Exec {
@@ -246,7 +232,6 @@ impl SearchBudget {
             evaluation: self.period_evaluation,
             forest_enumeration_cap: self.max_graphs,
             local_search_passes: self.local_search_passes,
-            strategy: self.search_strategy,
         }
     }
 
@@ -257,7 +242,6 @@ impl SearchBudget {
             forest_enumeration_cap: self.max_graphs,
             local_search_passes: self.local_search_passes,
             dag_enumeration_max_n: self.dag_enumeration_max_n,
-            strategy: self.search_strategy,
         }
     }
 
@@ -358,14 +342,12 @@ pub struct SolveStats {
     /// search (pruned candidates are not counted).  `0` for fixed-graph
     /// orchestration problems.
     pub evaluated: usize,
-    /// Telemetry of the plan search, attached **uniformly across every
-    /// `SearchStrategy` branch**: streamed canonical walks report
-    /// shape/orbit counts, expansions, bounded peak residency and
-    /// certificate discards; materialised depth-first walks report the
-    /// representative list (fully resident) and its coloured-orbit total;
-    /// raw labelled walks report the labelled space size as `orbits`
-    /// (`shapes` stays 0 — no shape plan exists) with the frontier peak
-    /// (best-first) or worker count (depth-first) as residency.  `None`
+    /// Telemetry of the forest plan search, attached on both walks: the
+    /// streamed canonical walk reports shape/orbit counts, expansions,
+    /// bounded peak residency and certificate discards; the labelled
+    /// depth-first walk reports the labelled space size as `orbits`
+    /// (`shapes` stays 0 — no shape plan exists) with the worker count as
+    /// residency.  `None`
     /// only for fixed-graph orchestration problems and the non-enumerative
     /// fallbacks (hill climbing, DAG phase), where no plan space is walked.
     pub stream: Option<crate::engine::frontier::StreamStats>,

@@ -13,12 +13,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics};
-use fsw::sched::engine::{CanonicalSpace, PartialPrune, SearchStrategy, Symmetry};
+use fsw::sched::engine::{CanonicalSpace, PartialPrune, Symmetry};
 use fsw::sched::minlatency::{minimize_latency, MinLatencyOptions};
 use fsw::sched::minperiod::{
-    exhaustive_dag_best, exhaustive_dag_search, exhaustive_forest_best, exhaustive_forest_search,
-    minimize_period, MinPeriodOptions,
+    exhaustive_dag_search, exhaustive_forest_search, minimize_period, MinPeriodOptions,
 };
+use fsw::sched::oracle::{exhaustive_dag_best, exhaustive_forest_best, forest_representatives};
 use fsw::sched::outorder::{
     outorder_period_search, outorder_period_search_bounded, OutOrderOptions,
 };
@@ -64,7 +64,6 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
                 Exec::serial(),
                 PartialPrune::Period(model),
                 Symmetry::Auto,
-                SearchStrategy::Auto,
                 &|g, _| eval(g),
             )
             .unwrap();
@@ -81,7 +80,6 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
             Exec::serial(),
             PartialPrune::Latency,
             Symmetry::Auto,
-            SearchStrategy::Auto,
             &|g, _| eval(g),
         )
         .unwrap();
@@ -145,7 +143,6 @@ fn auto_symmetry_is_identical_to_full_on_distinct_weights() {
             Exec::serial(),
             PartialPrune::Period(CommModel::InOrder),
             Symmetry::Full,
-            SearchStrategy::Auto,
             &eval,
         )
         .unwrap();
@@ -155,7 +152,6 @@ fn auto_symmetry_is_identical_to_full_on_distinct_weights() {
             Exec::serial(),
             PartialPrune::Period(CommModel::InOrder),
             Symmetry::Auto,
-            SearchStrategy::Auto,
             &eval,
         )
         .unwrap();
@@ -271,13 +267,10 @@ fn outorder_bound_never_prunes_the_optimum() {
 #[test]
 fn orbit_accounting_covers_the_labelled_space() {
     for n in [6usize, 9, 10] {
-        let covered: u128 = CanonicalSpace::forest_representatives(n)
-            .iter()
-            .map(|rep| rep.orbit)
-            .sum();
+        let covered: u128 = forest_representatives(n).iter().map(|rep| rep.orbit).sum();
         assert_eq!(covered, fsw_core::labelled_forests(n), "n={n}");
         assert_eq!(
-            CanonicalSpace::forest_representatives(n).len() as u128,
+            forest_representatives(n).len() as u128,
             CanonicalSpace::forest_class_count(n),
             "n={n}"
         );

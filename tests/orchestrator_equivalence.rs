@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fsw::core::{CommModel, ExecutionGraph};
-use fsw::sched::engine::{PartialPrune, SearchStrategy, Symmetry};
+use fsw::sched::engine::{PartialPrune, Symmetry};
 use fsw::sched::latency::{oneport_latency_search, oneport_latency_search_exec};
 use fsw::sched::minlatency::{minimize_latency, MinLatencyOptions};
 use fsw::sched::minperiod::{
@@ -176,7 +176,6 @@ fn parallel_searches_equal_serial() {
             Exec::serial(),
             PartialPrune::Off,
             Symmetry::Full,
-            SearchStrategy::Auto,
             &eval,
         )
         .unwrap();
@@ -188,7 +187,6 @@ fn parallel_searches_equal_serial() {
                     Exec::threaded(threads), // auto split: two-level (n²) tasks
                     prune,
                     Symmetry::Full,
-                    SearchStrategy::Auto,
                     &eval,
                 )
                 .unwrap();

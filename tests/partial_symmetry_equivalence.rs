@@ -1,15 +1,14 @@
 //! Property tests for the **partial-symmetry** (class-preserving) reduction
-//! and the best-first search driver (seeded random instances):
+//! and the streamed canonical walk (seeded random instances):
 //!
 //! * on **multi-weight-class** instances the class-reduced searches must
 //!   return the same optimum *value* as the brute force;
 //! * whenever the bit-safety gate declines (all classes singleton,
 //!   precedence constraints), `Symmetry::Classes` must fall back to the full
 //!   enumeration **bit-for-bit** (identical value *and* witness);
-//! * best-first and depth-first strategies must produce bit-identical
-//!   solutions on every space (labelled, uniform-canonical,
-//!   classed-canonical), serial and parallel, including the frontier's
-//!   spill-to-DFS path, whose hard memory cap is asserted;
+//! * the streamed walk must return the winner of the plain scan over the
+//!   materialised representatives (`oracle::classed_scan`) on the uniform
+//!   and classed canonical spaces, serial and parallel;
 //! * the classed orbit accounting must tile the labelled space exactly;
 //! * the OUTORDER canonical-form memoisation must equal a brute force that
 //!   evaluates every candidate's canonical member;
@@ -21,22 +20,21 @@
 //! * the **uniform** space now streams through the same generator
 //!   (colourings = 1 per shape): the lazy walk must cover exactly the
 //!   materialised uniform representative set (A000081 count included), and
-//!   its winner must be bit-identical to the retired materialise-then-scan
-//!   path under frontier caps {1, 2, default}, serial and parallel, up to
-//!   n = 12.
+//!   its winner must be bit-identical to the materialised scan under
+//!   frontier caps {1, 2, default}, serial and parallel, up to n = 12.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses};
-use fsw::sched::engine::frontier::{
-    best_first_forest_search_stats, streamed_canonical_search, FrontierStats, DEFAULT_FRONTIER_CAP,
-};
-use fsw::sched::engine::{CanonicalSpace, PartialPrune, SearchStrategy, Symmetry};
+use fsw::sched::engine::frontier::{streamed_canonical_search, DEFAULT_FRONTIER_CAP};
+use fsw::sched::engine::{CanonicalSpace, PartialPrune, Symmetry};
 use fsw::sched::minlatency::{minimize_latency, MinLatencyOptions};
 use fsw::sched::minperiod::{
-    exhaustive_forest_best, exhaustive_forest_search, minimize_period, MinPeriodOptions,
-    PeriodEvaluation,
+    exhaustive_forest_search, minimize_period, MinPeriodOptions, PeriodEvaluation,
+};
+use fsw::sched::oracle::{
+    classed_representatives, classed_scan, exhaustive_forest_best, forest_representatives,
 };
 use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
 use fsw::sched::tree::tree_latency;
@@ -77,7 +75,7 @@ fn random_multiclass_app(n: usize, rng: &mut StdRng) -> Application {
 
 /// Multi-class instances: the class-reduced forest enumeration returns the
 /// brute force's optimum value, for every model's period bound and for the
-/// exact forest latency, under both search strategies.
+/// exact forest latency.
 #[test]
 fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
     let mut rng = StdRng::seed_from_u64(0x5001);
@@ -93,25 +91,19 @@ fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
                     .unwrap_or(f64::INFINITY)
             };
             let brute = exhaustive_forest_best(&app, eval).unwrap();
-            for strategy in [SearchStrategy::DepthFirst, SearchStrategy::BestFirst] {
-                let reduced = exhaustive_forest_search(
-                    &app,
-                    2_000_000,
-                    Exec::serial(),
-                    PartialPrune::Period(model),
-                    Symmetry::Classes,
-                    strategy,
-                    &|g, _| eval(g),
-                )
-                .unwrap();
-                assert_eq!(
-                    brute.0, reduced.value,
-                    "case {case} {model} {strategy:?}: value"
-                );
-                assert!(reduced.complete);
-                // The classed winner achieves the optimum itself.
-                assert_eq!(eval(&reduced.graph), reduced.value, "case {case} {model}");
-            }
+            let reduced = exhaustive_forest_search(
+                &app,
+                2_000_000,
+                Exec::serial(),
+                PartialPrune::Period(model),
+                Symmetry::Classes,
+                &|g, _| eval(g),
+            )
+            .unwrap();
+            assert_eq!(brute.0, reduced.value, "case {case} {model}: value");
+            assert!(reduced.complete);
+            // The classed winner achieves the optimum itself.
+            assert_eq!(eval(&reduced.graph), reduced.value, "case {case} {model}");
         }
         let eval = |g: &ExecutionGraph| tree_latency(&app, g).unwrap_or(f64::INFINITY);
         let brute = exhaustive_forest_best(&app, eval).unwrap();
@@ -121,7 +113,6 @@ fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
             Exec::serial(),
             PartialPrune::Latency,
             Symmetry::Classes,
-            SearchStrategy::Auto,
             &|g, _| eval(g),
         )
         .unwrap();
@@ -151,7 +142,6 @@ fn classes_fall_back_to_full_bit_for_bit_when_the_gate_declines() {
                 Exec::serial(),
                 PartialPrune::Period(CommModel::InOrder),
                 symmetry,
-                SearchStrategy::Auto,
                 &eval,
             )
             .unwrap()
@@ -180,126 +170,11 @@ fn classes_fall_back_to_full_bit_for_bit_when_the_gate_declines() {
     }
 }
 
-/// Best-first and depth-first walks of the **labelled** space produce
-/// bit-identical solutions — value and tie-broken winner — for every thread
-/// count and prune kind.
+/// On the canonical orbit spaces (uniform and classed) the streamed walk
+/// returns the plain scan's winner — value and tie-broken graph — serial and
+/// with four threads.
 #[test]
-fn best_first_equals_depth_first_on_labelled_spaces() {
-    let mut rng = StdRng::seed_from_u64(0x5003);
-    for case in 0..CASES {
-        let app = random_application(&RandomAppConfig::independent(4), &mut rng);
-        for (prune, latency) in [
-            (PartialPrune::Period(CommModel::Overlap), false),
-            (PartialPrune::Period(CommModel::InOrder), false),
-            (PartialPrune::Latency, true),
-            (PartialPrune::Off, false),
-        ] {
-            let eval = |g: &ExecutionGraph, _c: f64| {
-                if latency {
-                    tree_latency(&app, g).unwrap_or(f64::INFINITY)
-                } else {
-                    PlanMetrics::compute(&app, g)
-                        .map(|m| m.period_lower_bound(CommModel::InOrder))
-                        .unwrap_or(f64::INFINITY)
-                }
-            };
-            let dfs = exhaustive_forest_search(
-                &app,
-                2_000_000,
-                Exec::serial(),
-                prune,
-                Symmetry::Full,
-                SearchStrategy::DepthFirst,
-                &eval,
-            )
-            .unwrap();
-            for threads in [1, 2, 5] {
-                let best_first = exhaustive_forest_search(
-                    &app,
-                    2_000_000,
-                    Exec::threaded(threads),
-                    prune,
-                    Symmetry::Full,
-                    SearchStrategy::BestFirst,
-                    &eval,
-                )
-                .unwrap();
-                assert_eq!(
-                    dfs.value, best_first.value,
-                    "case {case} {prune:?} x{threads}: value"
-                );
-                assert_eq!(
-                    graph_edges(&dfs.graph),
-                    graph_edges(&best_first.graph),
-                    "case {case} {prune:?} x{threads}: winner"
-                );
-                assert!(best_first.complete);
-            }
-        }
-    }
-}
-
-/// The frontier respects its hard memory cap: with a tiny cap every batch
-/// spills to depth-first completion, the peak frontier size never exceeds
-/// the cap, and the solution is still bit-identical to the plain walk.
-#[test]
-fn best_first_spill_path_respects_the_frontier_cap() {
-    let mut rng = StdRng::seed_from_u64(0x5004);
-    for case in 0..CASES / 2 {
-        let app = random_application(&RandomAppConfig::independent(4), &mut rng);
-        let eval = |g: &ExecutionGraph, _c: f64| {
-            PlanMetrics::compute(&app, g)
-                .map(|m| m.period_lower_bound(CommModel::Overlap))
-                .unwrap_or(f64::INFINITY)
-        };
-        let dfs = exhaustive_forest_search(
-            &app,
-            2_000_000,
-            Exec::serial(),
-            PartialPrune::Period(CommModel::Overlap),
-            Symmetry::Full,
-            SearchStrategy::DepthFirst,
-            &eval,
-        )
-        .unwrap();
-        for (cap, must_spill) in [(1usize, true), (2, true), (16, true), (1 << 20, false)] {
-            for threads in [1, 3] {
-                let (outcome, stats): (_, FrontierStats) = best_first_forest_search_stats(
-                    &app,
-                    Exec::threaded(threads),
-                    PartialPrune::Period(CommModel::Overlap),
-                    cap,
-                    f64::INFINITY,
-                    &eval,
-                );
-                let outcome = outcome.unwrap();
-                assert_eq!(dfs.value, outcome.value, "case {case} cap {cap} x{threads}");
-                assert_eq!(
-                    graph_edges(&dfs.graph),
-                    graph_edges(&outcome.graph),
-                    "case {case} cap {cap} x{threads}: winner"
-                );
-                assert!(outcome.complete);
-                assert!(
-                    stats.peak <= cap.max(1),
-                    "case {case} cap {cap} x{threads}: peak {} exceeds cap",
-                    stats.peak
-                );
-                if must_spill {
-                    assert!(
-                        stats.spills > 0,
-                        "case {case} cap {cap} x{threads}: spill path not exercised"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Best-first equals depth-first on the canonical orbit spaces too (uniform
-/// and classed), for several thread counts.
-#[test]
-fn best_first_equals_depth_first_on_canonical_spaces() {
+fn streamed_winner_equals_the_classed_scan_on_canonical_spaces() {
     let mut rng = StdRng::seed_from_u64(0x5005);
     for case in 0..CASES {
         let (app, symmetry) = if case % 2 == 0 {
@@ -310,39 +185,30 @@ fn best_first_equals_depth_first_on_canonical_spaces() {
             (random_multiclass_app(6, &mut rng), Symmetry::Classes)
         };
         for model in [CommModel::Overlap, CommModel::InOrder] {
-            let eval = |g: &ExecutionGraph, _c: f64| {
+            let eval = |g: &ExecutionGraph| {
                 PlanMetrics::compute(&app, g)
                     .map(|m| m.period_lower_bound(model))
                     .unwrap_or(f64::INFINITY)
             };
-            let dfs = exhaustive_forest_search(
-                &app,
-                2_000_000,
-                Exec::serial(),
-                PartialPrune::Period(model),
-                symmetry,
-                SearchStrategy::DepthFirst,
-                &eval,
-            )
-            .unwrap();
+            let (scan_value, scan_graph) = classed_scan(&app, 2_000_000, eval).unwrap();
             for threads in [1, 4] {
-                let best_first = exhaustive_forest_search(
+                let streamed = exhaustive_forest_search(
                     &app,
                     2_000_000,
                     Exec::threaded(threads),
                     PartialPrune::Period(model),
                     symmetry,
-                    SearchStrategy::BestFirst,
-                    &eval,
+                    &|g, _| eval(g),
                 )
                 .unwrap();
+                assert!(streamed.complete, "case {case} {model} x{threads}");
                 assert_eq!(
-                    dfs.value, best_first.value,
+                    scan_value, streamed.value,
                     "case {case} {model} x{threads}: value"
                 );
                 assert_eq!(
-                    graph_edges(&dfs.graph),
-                    graph_edges(&best_first.graph),
+                    graph_edges(&scan_graph),
+                    graph_edges(&streamed.graph),
                     "case {case} {model} x{threads}: winner"
                 );
             }
@@ -454,14 +320,13 @@ fn outorder_canonical_memoisation_matches_canonical_brute_force() {
     }
 }
 
-/// A tight `time_limit` must bound the classed path end to end — including
-/// representative materialisation and the best-first bound prelude, which
-/// used to run to completion before the first deadline check.
+/// A tight `time_limit` must bound the classed path end to end: the
+/// streamed walk's shape prelude and its expansion batches both check the
+/// deadline, so the solve degrades to the heuristic fallback on time.
 #[test]
 fn time_limit_bounds_the_classed_path_materialisation() {
     let mut rng = StdRng::seed_from_u64(0x500A);
-    // 6+5 classes at n = 11: ~1.12M coloured representatives, ~3 s to
-    // materialise, bound and evaluate in full on the reference container.
+    // 6+5 classes at n = 11: ~1.12M coloured orbits behind 4 766 shapes.
     let app = tiered_query_optimization(&[6, 5], &mut rng);
     let budget = fsw::sched::orchestrator::SearchBudget::default()
         .with_time_limit(std::time::Duration::from_millis(20));
@@ -493,7 +358,7 @@ fn classed_orbit_accounting_covers_the_labelled_space() {
     for sizes in [vec![3usize, 4], vec![2, 2, 3], vec![5, 3]] {
         let n: usize = sizes.iter().sum();
         let app = tiered_query_optimization(&sizes, &mut rng);
-        let reps = CanonicalSpace::classed_representatives(&app, 2_000_000).unwrap();
+        let reps = classed_representatives(&app, 2_000_000).unwrap();
         let covered: u128 = reps.iter().map(|r| r.orbit).sum();
         assert_eq!(covered, fsw_core::labelled_forests(n), "{sizes:?}");
         // Every representative's graph is a well-formed forest over the
@@ -569,7 +434,7 @@ impl ColoringVisitor for CollectAll<'_> {
 /// The lazy bound-ordered stream covers **exactly** the materialised classed
 /// space: walking the canonical colourings of every planned shape yields the
 /// same representative set with the same orbit weights as
-/// `classed_representatives`, and the plan's orbit total equals both counts.
+/// `oracle::classed_representatives`, and the plan's orbit total equals both counts.
 /// (The bound-sorted shape order differs from canonical order, so the lists
 /// are compared as sorted multisets.)
 #[test]
@@ -599,7 +464,7 @@ fn lazy_stream_covers_the_materialised_classed_space() {
             ));
         }
         let mut streamed = collector.reps;
-        let reps = CanonicalSpace::classed_representatives(&app, 2_000_000).unwrap();
+        let reps = classed_representatives(&app, 2_000_000).unwrap();
         assert_eq!(orbits, Some(planned_orbits), "case {case}: plan totals");
         assert_eq!(streamed.len(), reps.len(), "case {case}: orbit count");
         let mut materialised: Vec<(Vec<Option<usize>>, Vec<usize>, u128)> = reps
@@ -617,8 +482,9 @@ fn lazy_stream_covers_the_materialised_classed_space() {
 
 /// The frontier cap governs the streamed walk's resident representative
 /// count without changing the answer: a tiny cap and the default cap return
-/// bit-identical winners, both equal to the depth-first scan of the
-/// materialised stream, and the tiny-cap run's peak stays under its cap.
+/// bit-identical winners, both equal to the plain scan of the materialised
+/// representatives (`oracle::classed_scan`), and the tiny-cap run's peak
+/// stays under its cap.
 #[test]
 fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
     let mut rng = StdRng::seed_from_u64(0x500C);
@@ -630,16 +496,8 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
             .map(|m| m.period_lower_bound(model))
             .unwrap_or(f64::INFINITY)
     };
-    let dfs = exhaustive_forest_search(
-        &app,
-        10_000_000,
-        Exec::serial(),
-        PartialPrune::Period(model),
-        Symmetry::Classes,
-        SearchStrategy::DepthFirst,
-        &eval,
-    )
-    .unwrap();
+    let (scan_value, scan_graph) = classed_scan(&app, 10_000_000, |g| eval(g, f64::INFINITY))
+        .expect("the 5+4 coloured space fits the cap");
     for (cap, threads) in [(2usize, 4usize), (DEFAULT_FRONTIER_CAP, 4), (1, 1)] {
         let (outcome, stats) = streamed_canonical_search(
             &app,
@@ -652,9 +510,9 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
         );
         let outcome = outcome.unwrap();
         assert!(outcome.complete, "cap {cap} x{threads}");
-        assert_eq!(dfs.value, outcome.value, "cap {cap} x{threads}: value");
+        assert_eq!(scan_value, outcome.value, "cap {cap} x{threads}: value");
         assert_eq!(
-            graph_edges(&dfs.graph),
+            graph_edges(&scan_graph),
             graph_edges(&outcome.graph),
             "cap {cap} x{threads}: winner"
         );
@@ -683,7 +541,7 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
 /// The lazy stream covers **exactly** the materialised uniform canonical
 /// space: the single-class plan holds one colouring per shape (A000081 of
 /// them), and walking every planned shape reproduces the representative set
-/// of `CanonicalSpace::forest_representatives` — same parent vectors, same
+/// of `oracle::forest_representatives` — same parent vectors, same
 /// identity service assignment, same orbit sizes.
 #[test]
 fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
@@ -714,7 +572,7 @@ fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
         }
         let mut streamed = collector.reps;
         let mut materialised: Vec<(Vec<Option<usize>>, Vec<usize>, u128)> =
-            CanonicalSpace::forest_representatives(n)
+            forest_representatives(n)
                 .iter()
                 .map(|r| {
                     let (parents, weights) = r.decode();
@@ -729,7 +587,8 @@ fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
 }
 
 /// The streamed uniform walk returns the **bit-identical** winner of the
-/// retired materialise-then-scan path — the first canonical-order minimum —
+/// materialised scan (`oracle::classed_scan`) — the first canonical-order
+/// minimum —
 /// under frontier caps {1, 2, default}, serial and parallel, and its
 /// telemetry is populated on the colourings = 1 fast path: the plan covers
 /// every shape, and `peak_resident` reports the workers that actually held
@@ -751,18 +610,8 @@ fn uniform_streamed_winner_matches_the_materialised_scan_up_to_n12() {
                     .map(|m| m.period_lower_bound(model))
                     .unwrap_or(f64::INFINITY)
             };
-            // The materialised scan the stream replaced: evaluate every
-            // canonical representative in enumeration order, first minimum
-            // wins.
-            let mut scan: Option<(f64, ExecutionGraph)> = None;
-            for rep in CanonicalSpace::forest_representatives(n) {
-                let graph = rep.graph();
-                let value = eval(&graph, f64::INFINITY);
-                if scan.as_ref().is_none_or(|(best, _)| value < *best) {
-                    scan = Some((value, graph));
-                }
-            }
-            let (scan_value, scan_graph) = scan.unwrap();
+            let (scan_value, scan_graph) =
+                classed_scan(&app, usize::MAX, |g| eval(g, f64::INFINITY)).unwrap();
             for (cap, threads) in [
                 (1usize, 1usize),
                 (1, 4),

@@ -11,14 +11,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fsw::core::{CommModel, ExecutionGraph, PlanMetrics};
-use fsw::sched::engine::{PartialPrune, SearchStrategy, Symmetry};
+use fsw::sched::engine::{PartialPrune, Symmetry};
 use fsw::sched::latency::{oneport_latency_search, oneport_latency_search_bounded};
 use fsw::sched::minlatency::{evaluate_latency, minimize_latency, MinLatencyOptions};
 use fsw::sched::minperiod::{
-    evaluate_period, exhaustive_dag_best, exhaustive_forest_best, exhaustive_forest_search,
-    minimize_period, MinPeriodOptions, PeriodEvaluation,
+    evaluate_period, exhaustive_forest_search, minimize_period, MinPeriodOptions, PeriodEvaluation,
 };
 use fsw::sched::oneport::{oneport_period_search, oneport_period_search_bounded, OnePortStyle};
+use fsw::sched::oracle::{exhaustive_dag_best, exhaustive_forest_best};
 use fsw::sched::orchestrator::{solve, solve_all, Objective, Problem, SearchBudget};
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
@@ -50,7 +50,6 @@ fn pruned_forest_enumeration_matches_brute_force() {
                 Exec::serial(),
                 PartialPrune::Period(model),
                 Symmetry::Auto, // heterogeneous weights: falls back to the full space
-                SearchStrategy::Auto,
                 &|g, _| eval(g),
             )
             .unwrap();
@@ -70,7 +69,6 @@ fn pruned_forest_enumeration_matches_brute_force() {
             Exec::serial(),
             PartialPrune::Latency,
             Symmetry::Auto,
-            SearchStrategy::Auto,
             &|g, _| eval(g),
         )
         .unwrap();
