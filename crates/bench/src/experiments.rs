@@ -38,8 +38,8 @@ use fsw_sched::tree::tree_latency;
 use fsw_sched::CommOrderings;
 use fsw_serve::{FrontendConfig, PlanRequest, PlanService, ServeSource};
 use fsw_sim::{
-    replay_oplist, replay_trace, replay_trace_async, simulate_inorder, AsyncDisposition,
-    Disposition, FaultPlan, FrontendReplayConfig, FrontendReport, ServeReplayConfig,
+    replay_oplist, replay_trace, simulate_inorder, Disposition, Door, FaultPlan, ReplayConfig,
+    RequestOutcome, RequestPath,
 };
 use fsw_workloads::streaming::{serving_trace, ArrivalTrace, TraceConfig};
 use fsw_workloads::{
@@ -775,9 +775,9 @@ pub fn e14_serving() -> Vec<ExperimentRow> {
         },
         &mut rng,
     );
-    let config = ServeReplayConfig {
+    let config = ReplayConfig {
         verify: true,
-        ..ServeReplayConfig::default()
+        ..ReplayConfig::default()
     };
     let report = replay_trace(&trace, &config).expect("trace replays cleanly");
     let (warm, cold) = report.replan_evaluations();
@@ -900,13 +900,13 @@ pub fn e15_overload() -> Vec<ExperimentRow> {
     // after the backoff), blow the deadline of the template-1 leader (its
     // batch degrades to the deterministic fallback and is never cached) and
     // stall the template-2 leader to stretch the latency tail.
-    let config = ServeReplayConfig {
+    let config = ReplayConfig {
         verify: true,
         faults: FaultPlan::new()
             .panic_at(0)
             .blowout_at(1)
             .slow_at(2, Duration::from_millis(2)),
-        ..ServeReplayConfig::default()
+        ..ReplayConfig::default()
     };
     // The injected panic is caught by the pool; keep its backtrace out of
     // the experiment table.
@@ -1102,26 +1102,18 @@ fn async_overload_rows(
         worker_counts[0],
     );
     let run = |workers: usize| {
-        let config = FrontendReplayConfig {
-            frontend: FrontendConfig {
+        let config = ReplayConfig {
+            door: Door::Async(FrontendConfig {
                 workers,
                 ..frontend
-            },
+            }),
             faults: faults.clone(),
-            ..FrontendReplayConfig::default()
+            ..ReplayConfig::default()
         };
-        replay_trace_async(&trace, &config).expect("async replay")
+        replay_trace(&trace, &config).expect("async replay")
     };
     let report = run(worker_counts[0]);
-    let digest = report.digest();
-    for &workers in &worker_counts[1..] {
-        let other = run(workers);
-        assert_eq!(
-            digest,
-            other.digest(),
-            "replay decisions diverged at workers={workers}"
-        );
-    }
+    let fs = report.frontend.expect("async door");
     // Acceptance criteria — hard assertions.
     assert!(report.requests() >= floor_requests, "trace too small");
     assert_eq!(
@@ -1130,27 +1122,24 @@ fn async_overload_rows(
         "every ticket must resolve to a ServeOutcome — a missing completion is a hang"
     );
     assert_eq!(
-        report.frontend.submitted, report.frontend.completed,
+        fs.submitted, fs.completed,
         "tickets left outstanding after the drain"
     );
     assert!(
-        report.frontend.peak_tenant_queue <= frontend.queue_capacity,
+        fs.peak_tenant_queue <= frontend.queue_capacity,
         "per-tenant queue memory exceeded its configured bound"
     );
     assert_eq!(
         report.store_non_exhaustive, 0,
         "a non-exhaustive plan entered the store"
     );
-    assert_eq!(
-        report.frontend.stalls, 1,
-        "exactly one injected stall fires"
-    );
+    assert_eq!(fs.stalls, 1, "exactly one injected stall fires");
     assert!(
-        report.frontend.quarantine_rejects > 0,
+        fs.quarantine_rejects > 0,
         "the stalled fingerprint must back off through the quarantine"
     );
     assert_eq!(
-        report.frontend.recovered, 1,
+        fs.recovered, 1,
         "the stalled fingerprint recovers after the backoff"
     );
     // The shed-rate curve: zero at steady state, sharply up in the burst
@@ -1172,15 +1161,15 @@ fn async_overload_rows(
     );
     assert_eq!(calm_rate, 0.0, "shed rate must return to baseline");
     assert!(
-        report.frontend.peak_shed_level > 0,
+        fs.peak_shed_level > 0,
         "the backlog must tighten the admission thresholds"
     );
     assert_eq!(
-        report.frontend.shed_level, 0,
+        fs.shed_level, 0,
         "hysteresis must relax once the backlog drains"
     );
     assert!(
-        report.frontend.deadline_cancels > 0,
+        fs.deadline_cancels > 0,
         "the burst tail must be cancelled at dequeue"
     );
     let (exact, degraded, rejected) = report.mix();
@@ -1188,7 +1177,7 @@ fn async_overload_rows(
     let p50 = report.latency_tick_percentile(50.0);
     let p99 = report.latency_tick_percentile(99.0);
     assert!(p50 <= p99, "latency tail inverted");
-    vec![
+    let rows = vec![
         ExperimentRow::new(
             "tickets resolved under async faults (floor = acceptance minimum)",
             Some(floor_requests as f64),
@@ -1200,37 +1189,37 @@ fn async_overload_rows(
         ExperimentRow::new(
             "ingress sheds: bounded tenant queue full at submit",
             None,
-            report.frontend.queue_full_sheds as f64,
+            fs.queue_full_sheds as f64,
         ),
         ExperimentRow::new(
             "backpressure sheds at backlog-scaled thresholds",
             None,
-            report.frontend.backpressure_sheds as f64,
+            fs.backpressure_sheds as f64,
         ),
         ExperimentRow::new(
             "deadline cancellations at dequeue (burst tail)",
             None,
-            report.frontend.deadline_cancels as f64,
+            fs.deadline_cancels as f64,
         ),
         ExperimentRow::new(
             "peak shed level (adaptive hysteresis, cap 8)",
             Some(8.0),
-            report.frontend.peak_shed_level as f64,
+            fs.peak_shed_level as f64,
         ),
         ExperimentRow::new(
             "peak per-tenant queue depth (bound = 64)",
             Some(64.0),
-            report.frontend.peak_tenant_queue as f64,
+            fs.peak_tenant_queue as f64,
         ),
         ExperimentRow::new(
             "worker stalls timed out by the watchdog (must equal injected = 1)",
             Some(1.0),
-            report.frontend.stalls as f64,
+            fs.stalls as f64,
         ),
         ExperimentRow::new(
             "stalled fingerprints recovered through the quarantine",
             Some(1.0),
-            report.frontend.recovered as f64,
+            fs.recovered as f64,
         ),
         ExperimentRow::new(
             "worker counts with bit-identical decision digests",
@@ -1244,7 +1233,18 @@ fn async_overload_rows(
             None,
             report.requests() as f64 / report.serve_wall.as_secs_f64().max(1e-9),
         ),
-    ]
+    ];
+    // Every further worker count replays bit-identically (one replay in
+    // memory at a time, next to the first one's digest).
+    let digest = report.digest();
+    drop(report);
+    for &workers in &worker_counts[1..] {
+        assert!(
+            run(workers).digest_rows().eq(digest.iter().copied()),
+            "replay decisions diverged at workers={workers}"
+        );
+    }
+    rows
 }
 
 /// E16 — a million-request overload trace through the async front end with
@@ -1286,17 +1286,20 @@ pub fn e16s_smoke() -> Vec<ExperimentRow> {
 /// 1. **non-interference** — the instrumented decision digest is
 ///    bit-identical to a registry-disabled replay of the same timeline,
 ///    and stays bit-identical across every worker count;
-/// 2. **exactness** — every registry counter that mirrors a serve-layer
-///    tally (frontend decisions, store hits/misses/evictions, outcome
-///    mix, shed transitions) equals the exact counter, and the
-///    logical-tick latency histogram reproduces the replay's nearest-rank
-///    percentiles;
+/// 2. **exactness** — every serve counter the per-ticket outcomes can
+///    derive (ingress, completions, queue-full sheds, backpressure sheds,
+///    admission and quarantine rejects, deadline cancellations, store
+///    hits, dedup joins, degraded answers) equals the tally recomputed
+///    from the outcomes, and the logical-tick latency histogram
+///    reproduces the replay's nearest-rank percentiles;
 /// 3. **sketch accuracy** — per-tenant request/shed/degrade tallies
 ///    decoded from the traffic sketches never undercount, peeled tenants
 ///    are exact, and every overestimate respects the count-min bound
 ///    `err · width ≤ 4 · total`;
-/// 4. **overhead** — the min-of-N instrumented wall time stays within 5%
-///    (plus a small absolute grace) of the min-of-N disabled wall time.
+/// 4. **overhead** — on a fault-free copy of the trace (no injected stall,
+///    slow shard or burst, so no sleeps in either arm), the instrumented
+///    serving wall stays within 5% of the disabled one, on the best of
+///    `timing_runs` back-to-back pairs.
 #[allow(clippy::too_many_arguments)]
 fn observed_overload_rows(
     tenants: usize,
@@ -1316,98 +1319,76 @@ fn observed_overload_rows(
         stall_timeout,
         worker_counts[0],
     );
-    let run = |workers: usize, metrics: Option<Arc<MetricsRegistry>>| -> FrontendReport {
-        let config = FrontendReplayConfig {
-            frontend: FrontendConfig {
+    let run = |workers: usize, faults: &FaultPlan, metrics: Option<Arc<MetricsRegistry>>| {
+        let config = ReplayConfig {
+            door: Door::Async(FrontendConfig {
                 workers,
                 ..frontend
-            },
+            }),
             faults: faults.clone(),
             metrics,
-            ..FrontendReplayConfig::default()
+            ..ReplayConfig::default()
         };
-        replay_trace_async(&trace, &config).expect("async replay")
+        replay_trace(&trace, &config).expect("async replay")
     };
-    // The two arms run back-to-back inside each iteration, and the
-    // overhead contract is asserted *pairwise*: an iteration's
-    // instrumented wall is compared to the disabled wall measured moments
-    // before it, and the bound must hold for at least one pair.  On a
-    // shared single-CPU container an external load spike would have to
-    // hit the instrumented half of every pair (while sparing each paired
-    // disabled half) to fail the bound spuriously; per-arm minima remain
-    // the reported walls.
-    let mut disabled_wall = Duration::MAX;
-    let mut baseline = None;
-    let mut observed_wall = Duration::MAX;
-    let mut observed = None;
-    let mut best_pair_ratio = f64::MAX;
-    for _ in 0..timing_runs.max(1) {
-        let report = run(worker_counts[0], None);
-        let pair_disabled = report.serve_wall;
-        disabled_wall = disabled_wall.min(pair_disabled);
-        baseline = Some(report);
-        let registry = Arc::new(MetricsRegistry::new());
-        let report = run(worker_counts[0], Some(Arc::clone(&registry)));
-        let graced = pair_disabled + Duration::from_millis(25);
-        best_pair_ratio =
-            best_pair_ratio.min(report.serve_wall.as_secs_f64() / graced.as_secs_f64().max(1e-9));
-        observed_wall = observed_wall.min(report.serve_wall);
-        observed = Some((report, registry));
-    }
-    let baseline = baseline.expect("at least one disabled run");
-    let (report, registry) = observed.expect("at least one instrumented run");
-    assert!(report.requests() >= floor_requests, "trace too small");
-
     // 1. Non-interference: attaching the registry must not steer a single
     // decision, and the instrumented digest must stay worker-count
-    // independent (wall-clock span durations never feed the digest).
+    // independent (wall-clock span durations never feed the digest).  One
+    // replay is held in memory at a time, next to the baseline's digest.
+    let baseline = run(worker_counts[0], &faults, None);
     let digest = baseline.digest();
-    assert_eq!(
-        digest,
-        report.digest(),
+    let percentiles = [50.0, 99.0, 100.0].map(|p| baseline.latency_tick_percentile(p));
+    drop(baseline);
+    let registry = Arc::new(MetricsRegistry::new());
+    let report = run(worker_counts[0], &faults, Some(Arc::clone(&registry)));
+    assert!(report.requests() >= floor_requests, "trace too small");
+    assert!(
+        report.digest_rows().eq(digest.iter().copied()),
         "instrumentation changed a replay decision"
     );
-    for &workers in &worker_counts[1..] {
-        let other = run(workers, Some(Arc::new(MetricsRegistry::new())));
-        assert_eq!(
-            digest,
-            other.digest(),
-            "instrumented replay diverged at workers={workers}"
-        );
-    }
 
-    // 2. Exactness: snapshot counters == the serve layer's own tallies.
+    // 2. Exactness: every counter the outcomes determine equals the tally
+    // recomputed from them.
     let snap = registry.snapshot();
-    let fs = &report.frontend;
-    let serve = &report.serve_stats;
-    let (_, degraded, _) = report.mix();
-    let exact_counters: Vec<(&str, u64)> = vec![
-        ("frontend.ingress", fs.submitted as u64),
-        ("frontend.completions", fs.completed as u64),
-        ("frontend.queue_full_sheds", fs.queue_full_sheds as u64),
-        ("frontend.backpressure_sheds", fs.backpressure_sheds as u64),
-        ("frontend.admission_rejects", fs.admission_rejects as u64),
-        ("frontend.quarantine_rejects", fs.quarantine_rejects as u64),
-        ("frontend.deadline_cancels", serve.deadline_cancels as u64),
-        ("frontend.deadline_degrades", fs.deadline_degrades as u64),
-        ("frontend.store_hits", fs.store_hits as u64),
-        ("frontend.dedup_joins", fs.dedup_joins as u64),
-        ("frontend.dispatches", fs.dispatches as u64),
-        ("frontend.degraded", degraded as u64),
-        ("frontend.panics", fs.panics as u64),
-        ("frontend.stalls", fs.stalls as u64),
-        ("frontend.recovered", fs.recovered as u64),
-        ("frontend.shed_raises", serve.shed_raises as u64),
-        ("frontend.shed_lowers", serve.shed_lowers as u64),
-        ("store.hits", serve.store.hits as u64),
-        ("store.misses", serve.store.misses as u64),
-        ("store.evictions", serve.store.evictions as u64),
+    let completed = report.frontend.expect("async door").completed as u64;
+    let tally = |keep: &dyn Fn(&RequestOutcome) -> bool| {
+        report.outcomes.iter().filter(|o| keep(o)).count() as u64
+    };
+    let derived_counters: Vec<(&str, u64)> = vec![
+        ("frontend.ingress", tally(&|_| true)),
+        ("frontend.completions", tally(&|_| true)),
+        (
+            "frontend.queue_full_sheds",
+            tally(&|o| o.disposition == Disposition::QueueFull),
+        ),
+        (
+            "serve.sheds",
+            tally(&|o| matches!(o.disposition, Disposition::Shed { .. })),
+        ),
+        (
+            "serve.admission_rejects",
+            tally(&|o| o.disposition == Disposition::AdmissionCost),
+        ),
+        (
+            "serve.quarantine_rejects",
+            tally(&|o| o.disposition == Disposition::Quarantined),
+        ),
+        (
+            "frontend.deadline_cancels",
+            tally(&|o| o.disposition == Disposition::DeadlineExpired),
+        ),
+        ("serve.store_hits", tally(&|o| o.path == RequestPath::Store)),
+        ("serve.dedup", tally(&|o| o.path == RequestPath::Dedup)),
+        (
+            "serve.degraded",
+            tally(&|o| o.disposition == Disposition::Degraded),
+        ),
     ];
-    for (name, want) in &exact_counters {
+    for (name, want) in &derived_counters {
         assert_eq!(
             snap.counter(name),
             Some(*want),
-            "registry counter {name} diverges from the exact tally"
+            "registry counter {name} diverges from the outcome tally"
         );
     }
     assert_eq!(
@@ -1428,10 +1409,8 @@ fn observed_overload_rows(
     let latency = snap
         .histogram("frontend.latency_ticks")
         .expect("latency histogram missing from the snapshot");
-    assert_eq!(latency.count, fs.completed as u64);
-    assert_eq!(latency.p50, baseline.latency_tick_percentile(50.0));
-    assert_eq!(latency.p99, baseline.latency_tick_percentile(99.0));
-    assert_eq!(latency.max, baseline.latency_tick_percentile(100.0));
+    assert_eq!(latency.count, completed);
+    assert_eq!([latency.p50, latency.p99, latency.max], percentiles);
 
     // 3. Sketch accuracy vs the exact per-tenant tallies of the outcomes.
     let mut exact_requests: BTreeMap<u64, u64> = BTreeMap::new();
@@ -1443,7 +1422,7 @@ fn observed_overload_rows(
         if outcome.is_shed() {
             *exact_sheds.entry(tenant).or_default() += 1;
         }
-        if outcome.disposition == AsyncDisposition::Degraded {
+        if outcome.disposition == Disposition::Degraded {
             *exact_degrades.entry(tenant).or_default() += 1;
         }
     }
@@ -1494,8 +1473,35 @@ fn observed_overload_rows(
         }
     }
 
-    // 4. Overhead: < 5% (plus a small absolute grace for timer noise on
-    // the short smoke runs), asserted on the best back-to-back pair.
+    let requests = report.requests();
+    drop(report);
+    for &workers in &worker_counts[1..] {
+        let other = run(workers, &faults, Some(Arc::new(MetricsRegistry::new())));
+        assert!(
+            other.digest_rows().eq(digest.iter().copied()),
+            "instrumented replay diverged at workers={workers}"
+        );
+    }
+
+    // 4. Overhead on the fault-free trace, asserted on the best
+    // back-to-back pair: an iteration's instrumented wall is compared to
+    // the disabled wall measured moments before it.  On a shared host an
+    // external load spike would have to hit the instrumented half of every
+    // pair (while sparing each paired disabled half) to fail the bound
+    // spuriously; per-arm minima are reported on failure.
+    let fault_free = FaultPlan::new();
+    let mut disabled_wall = Duration::MAX;
+    let mut observed_wall = Duration::MAX;
+    let mut best_pair_ratio = f64::MAX;
+    for _ in 0..timing_runs.max(1) {
+        let disabled = run(worker_counts[0], &fault_free, None).serve_wall;
+        let registry = Some(Arc::new(MetricsRegistry::new()));
+        let observed = run(worker_counts[0], &fault_free, registry).serve_wall;
+        disabled_wall = disabled_wall.min(disabled);
+        observed_wall = observed_wall.min(observed);
+        best_pair_ratio =
+            best_pair_ratio.min(observed.as_secs_f64() / disabled.as_secs_f64().max(1e-9));
+    }
     assert!(
         best_pair_ratio <= 1.05,
         "instrumentation overhead out of budget: best pair ratio \
@@ -1508,12 +1514,12 @@ fn observed_overload_rows(
         ExperimentRow::new(
             "tickets resolved with full instrumentation (floor = acceptance minimum)",
             Some(floor_requests as f64),
-            report.requests() as f64,
+            requests as f64,
         ),
         ExperimentRow::new(
-            "registry counters bit-equal to the exact serve tallies",
-            Some(exact_counters.len() as f64),
-            exact_counters.len() as f64,
+            "serve counters bit-equal to the tallies of the outcomes",
+            Some(derived_counters.len() as f64),
+            derived_counters.len() as f64,
         ),
         ExperimentRow::new(
             "registry-derived p50 ticket latency, logical ticks",
@@ -1541,7 +1547,7 @@ fn observed_overload_rows(
             max_err as f64,
         ),
         ExperimentRow::new(
-            "instrumentation wall overhead, percent (< 5 asserted)",
+            "instrumentation wall overhead on the fault-free trace, percent (< 5 asserted)",
             Some(5.0),
             overhead_pct,
         ),
@@ -1554,10 +1560,11 @@ fn observed_overload_rows(
 }
 
 /// E17 — the E16 overload replay with the unified observability layer on:
-/// registry snapshot bit-equal to the exact serve tallies, sketch-decoded
-/// per-tenant rates inside the count-min bound, < 5% wall overhead, and
-/// decision digests bit-identical to the uninstrumented replay at 1, 2
-/// and 4 workers.  See [`observed_overload_rows`].
+/// serve counters equal to the tallies of the per-ticket outcomes,
+/// sketch-decoded per-tenant rates inside the count-min bound, < 5% wall
+/// overhead on the fault-free trace, and decision digests bit-identical
+/// to the uninstrumented replay at 1, 2 and 4 workers.  See
+/// [`observed_overload_rows`].
 pub fn e17_observability() -> Vec<ExperimentRow> {
     observed_overload_rows(
         32,
@@ -1573,7 +1580,9 @@ pub fn e17_observability() -> Vec<ExperimentRow> {
 
 /// E17s — the seconds-not-minutes CI smoke of E17: the e16s-scale
 /// overload replay with full instrumentation, digest-checked against the
-/// disabled baseline and across 1/2 workers.
+/// disabled baseline and across 1/2 workers.  Its fault-free arms take
+/// tens of milliseconds, where back-to-back ratios scatter by ±25% on a
+/// shared host, so the overhead gate takes the best of seven pairs.
 pub fn e17s_smoke() -> Vec<ExperimentRow> {
     observed_overload_rows(
         16,
@@ -1583,7 +1592,7 @@ pub fn e17s_smoke() -> Vec<ExperimentRow> {
         Duration::from_millis(40),
         12_000,
         &[1, 2],
-        3,
+        7,
     )
 }
 

@@ -24,14 +24,16 @@
 //!
 //! The product of the first two is the **estimated cost** — the number of
 //! candidate evaluations an exhaustive solve would pay — and the
-//! [`AdmissionPolicy`] turns it into one of three decisions: [`Admit`]
+//! [`AdmissionPolicy`] turns it into one of four decisions: [`Admit`]
 //! (solve exactly), [`AdmitWithDeadline`] (worth trying under a degrade
-//! deadline; the response may come back `Degraded`), or [`Reject`] (the
-//! exact answer is out of reach; the caller gets the estimate and the
-//! floor, and the solve pool is never touched).
+//! deadline; the response may come back `Degraded`), [`Shed`] (admissible
+//! at baseline, but over the threshold a backlog has tightened), or
+//! [`Reject`] (the exact answer is out of reach; the caller gets the
+//! estimate and the floor, and the solve pool is never touched).
 //!
 //! [`Admit`]: AdmissionDecision::Admit
 //! [`AdmitWithDeadline`]: AdmissionDecision::AdmitWithDeadline
+//! [`Shed`]: AdmissionDecision::Shed
 //! [`Reject`]: AdmissionDecision::Reject
 
 use std::time::{Duration, Instant};
@@ -44,13 +46,14 @@ use fsw_sched::engine::CanonicalSpace;
 use fsw_sched::minperiod::PeriodEvaluation;
 use fsw_sched::orchestrator::{Objective, SearchBudget};
 
-/// Largest shape count (`A000081` forest classes) for which pricing
-/// attempts the bound-ordered value floor: `n = 10` (1 842 shapes) is in,
-/// `n = 11` (4 766) is out.  The floor pass runs **without a wall-clock
-/// deadline** — its cost is bounded structurally by this limit instead, so
-/// the floor (and everything downstream of it: degraded gaps, replay
-/// digests) is a pure function of the instance, never of machine load.
-const FLOOR_SHAPE_LIMIT: u128 = 2_000;
+/// Largest service count for which pricing attempts the bound-ordered
+/// value floor: `n = 10` (1 842 `A000081` forest shapes) is in, `n = 11`
+/// (4 766) is out.  The floor pass runs **without a wall-clock deadline** —
+/// its cost is bounded structurally by this limit instead, so the floor
+/// (and everything downstream of it: degraded gaps, replay digests) is a
+/// pure function of the instance, never of machine load.  A plain size
+/// check, so oversized requests skip the floor in O(1).
+const FLOOR_MAX_SERVICES: usize = 10;
 
 /// The structural price of one request, computed before any enumeration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -88,6 +91,15 @@ pub enum AdmissionDecision {
         /// Deadline the solve runs under.
         time_limit: Duration,
         /// The price that put the request in the degrade band.
+        estimate: CostEstimate,
+    },
+    /// Admissible at baseline, but priced above the reject threshold
+    /// scaled down by `level` halvings (backlog feedback): shed, not
+    /// solved.
+    Shed {
+        /// The shed level in force (≥ 1).
+        level: u32,
+        /// The price that shed the request (no floor: sheds are cheap).
         estimate: CostEstimate,
     },
     /// The exact answer is out of reach; the solve pool is never touched.
@@ -144,9 +156,8 @@ impl AdmissionPolicy {
         self.admit_cost == u128::MAX
     }
 
-    /// Prices `app` and decides.  O(shapes) worst case, bounded by
-    /// `pricing_budget`; open policies return [`AdmissionDecision::Admit`]
-    /// without pricing at all.
+    /// Prices `app` and decides at baseline thresholds:
+    /// [`decide_at`](Self::decide_at) with shed level 0.
     pub fn decide(
         &self,
         app: &Application,
@@ -154,27 +165,64 @@ impl AdmissionPolicy {
         objective: Objective,
         budget: &SearchBudget,
     ) -> AdmissionDecision {
+        self.decide_at(app, model, objective, budget, 0)
+    }
+
+    /// Prices `app` and decides with both thresholds halved `shed_level`
+    /// times (backlog feedback).  O(shapes) worst case, bounded by
+    /// `pricing_budget`; open policies return [`AdmissionDecision::Admit`]
+    /// without pricing at all.  A request only the scaled reject threshold
+    /// turns away is [`Shed`](AdmissionDecision::Shed).
+    pub fn decide_at(
+        &self,
+        app: &Application,
+        model: CommModel,
+        objective: Objective,
+        budget: &SearchBudget,
+        shed_level: u32,
+    ) -> AdmissionDecision {
+        self.priced(app, model, objective, budget, shed_level).0
+    }
+
+    /// [`decide_at`](Self::decide_at) plus the estimated cost behind the
+    /// decision (`0` when an open policy skipped pricing) — the async
+    /// front end models solve latency from it.
+    pub(crate) fn priced(
+        &self,
+        app: &Application,
+        model: CommModel,
+        objective: Objective,
+        budget: &SearchBudget,
+        shed_level: u32,
+    ) -> (AdmissionDecision, u128) {
         if self.is_open() {
-            return AdmissionDecision::Admit;
+            return (AdmissionDecision::Admit, 0);
         }
         let mut estimate = self.estimate(app, model, objective, budget);
-        if estimate.cost <= self.admit_cost {
-            return AdmissionDecision::Admit;
+        let cost = estimate.cost;
+        let level = shed_level.min(127);
+        let reject_cost = self.reject_cost >> level;
+        if cost > reject_cost && cost <= self.reject_cost {
+            return (AdmissionDecision::Shed { level, estimate }, cost);
+        }
+        if cost <= self.admit_cost >> level {
+            return (AdmissionDecision::Admit, cost);
         }
         // The floor is only priced when the caller will see it — the
         // degrade band (it becomes the response's certified gap) and the
         // reject band (feedback on what is out of reach).  It is O(shapes)
         // like the rest of the pricing, but with a larger constant, so the
-        // admit fast path skips it.
+        // admit fast path and sheds skip it.
         estimate.value_floor = self.certified_floor(app, model, objective, budget);
-        if estimate.cost <= self.reject_cost {
+        let decision = if cost <= reject_cost {
             AdmissionDecision::AdmitWithDeadline {
                 time_limit: self.degrade_time_limit,
                 estimate,
             }
         } else {
             AdmissionDecision::Reject { estimate }
-        }
+        };
+        (decision, cost)
     }
 
     /// The structural price of `(app, model, objective)` under `budget`
@@ -251,7 +299,7 @@ impl AdmissionPolicy {
         objective: Objective,
         budget: &SearchBudget,
     ) -> Option<f64> {
-        self.value_floor(app, &WeightClasses::of(app), model, objective, budget)
+        self.value_floor(app, model, objective, budget)
     }
 
     /// Admissible instance-wide lower bound from the bound-ordered shape
@@ -259,13 +307,12 @@ impl AdmissionPolicy {
     /// least its shape's bound, so the head bound floors the whole forest
     /// space (constrained plans are a subset of it, so the floor holds for
     /// them too).  `None` when the DAG phase could beat it or when the
-    /// shape space exceeds [`FLOOR_SHAPE_LIMIT`] — the structural gate that
+    /// instance exceeds [`FLOOR_MAX_SERVICES`] — the structural gate that
     /// bounds this pass instead of a wall-clock deadline, keeping the floor
     /// deterministic.
     fn value_floor(
         &self,
         app: &Application,
-        classes: &WeightClasses,
         model: CommModel,
         objective: Objective,
         budget: &SearchBudget,
@@ -276,11 +323,12 @@ impl AdmissionPolicy {
             Objective::MinLatency if n > budget.dag_enumeration_max_n => ShapeObjective::Latency,
             Objective::MinLatency => return None,
         };
-        if fsw_core::forest_classes(n) > FLOOR_SHAPE_LIMIT {
+        if n > FLOOR_MAX_SERVICES {
             return None;
         }
         let bounder = ShapeBounder::new(app, shape_objective);
-        match bound_ordered_shape_plan(classes, Some(&bounder), f64::INFINITY, None) {
+        let classes = WeightClasses::of(app);
+        match bound_ordered_shape_plan(&classes, Some(&bounder), f64::INFINITY, None) {
             ShapeScan::Planned { shapes, .. } => shapes.first().map(|shape| shape.bound),
             ShapeScan::DeadlineExpired => None,
         }
@@ -425,6 +473,53 @@ mod tests {
             );
             assert!(floor > 0.0, "positive costs imply a positive floor");
         }
+    }
+
+    #[test]
+    fn the_floor_gate_admits_at_most_two_thousand_shapes() {
+        assert_eq!(fsw_core::forest_classes(FLOOR_MAX_SERVICES), 1_842);
+        assert_eq!(fsw_core::forest_classes(FLOOR_MAX_SERVICES + 1), 4_766);
+    }
+
+    #[test]
+    fn shed_levels_scale_both_thresholds() {
+        // n = 8 distinct sits in the degrade band at baseline; halving the
+        // thresholds enough times sheds it, and the shed carries no floor.
+        let specs: Vec<(f64, f64)> = (0..8)
+            .map(|k| (1.0 + k as f64, 0.4 + 0.05 * k as f64))
+            .collect();
+        let app = Application::independent(&specs);
+        let policy = AdmissionPolicy::for_budget(&budget());
+        let at = |level| {
+            policy.decide_at(
+                &app,
+                CommModel::Overlap,
+                Objective::MinPeriod,
+                &budget(),
+                level,
+            )
+        };
+        assert!(matches!(at(0), AdmissionDecision::AdmitWithDeadline { .. }));
+        match at(4) {
+            AdmissionDecision::Shed { level, estimate } => {
+                assert_eq!(level, 4);
+                assert_eq!(estimate.value_floor, None);
+            }
+            other => panic!("level 4 must shed the degrade band, got {other:?}"),
+        }
+        // Baseline rejects stay rejects at any level, floor priced.
+        let jumbo: Vec<(f64, f64)> = (0..24).map(|k| (1.0 + k as f64, 0.5)).collect();
+        let jumbo = Application::independent(&jumbo);
+        assert!(matches!(
+            policy.decide_at(
+                &jumbo,
+                CommModel::Overlap,
+                Objective::MinPeriod,
+                &budget(),
+                3
+            ),
+            AdmissionDecision::Reject { .. }
+        ));
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   varies;
 //! * **adaptive backpressure** — the backlog (queued requests) feeds back
 //!   into the [`AdmissionPolicy`](crate::admission::AdmissionPolicy)
-//!   thresholds: each shed level halves the admit/reject costs, levels
+//!   thresholds: each shed level halves the admit/reject costs
+//!   ([`decide_at`](crate::admission::AdmissionPolicy::decide_at)), levels
 //!   move one step per tick between the
 //!   [`backlog_high`](FrontendConfig::backlog_high)/
 //!   [`backlog_low`](FrontendConfig::backlog_low) watermarks
@@ -40,35 +41,35 @@
 //!   degrade deadline rather than at full budget;
 //! * **stall detection** — workers heartbeat by recording when they pick a
 //!   job up; the loop's completion wait times a started solve out after
-//!   [`stall_timeout`](FrontendConfig::stall_timeout), hands the
-//!   fingerprint to the existing panic quarantine, resolves the ticket
-//!   (and its dedup followers) as [`RejectReason::WorkerStall`], spawns a
-//!   replacement worker, and the abandoned solve's late result is
-//!   discarded — a wedged solve costs one worker, never the fleet.
+//!   [`stall_timeout`](FrontendConfig::stall_timeout), settles it as a
+//!   [`RejectReason::WorkerStall`] failure (quarantining the fingerprint),
+//!   resolves the ticket and its dedup followers, spawns a replacement
+//!   worker, and the abandoned solve's late result is discarded — a wedged
+//!   solve costs one worker, never the fleet.
 //!
-//! The shared state — plan store, quarantine, retained evaluation caches,
-//! request ordinals — is the owning [`PlanService`]'s, so the sync batch
-//! path and the async path see one serving tier.  Completion events are
+//! Everything else is the owning [`PlanService`]'s: the loop calls the
+//! same admit → execute → settle → respond stages as the batch path, over
+//! the same plan store, quarantine, retained caches, request ordinals and
+//! counters, so the two doors are one serving tier.  Completion events are
 //! applied in dispatch order (due ticks are monotone in dispatch order),
 //! which makes store and quarantine contents a pure function of the
 //! submission sequence: the fault-replay digests in `fsw_sim` assert
 //! byte-equality across 1/2/4 workers on exactly this property.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ops::Bound;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use fsw_core::{CommModel, CoreResult};
-use fsw_obs::{Counter, Gauge, LogHistogram, MetricsRegistry, SpanTimer, TrafficSketch};
-use fsw_sched::engine::EvalCache;
-use fsw_sched::orchestrator::SearchBudget;
+use fsw_core::CoreResult;
+use fsw_obs::{LogHistogram, SpanTimer, TrafficSketch};
 
 use crate::service::{
-    cold_solve, panic_message, InjectedFault, PlanRequest, PlanResponse, PlanService, Prepared,
-    RejectReason, Rejection, ServeOutcome, ServeSource, ServeStats,
+    Job, PlanRequest, PlanService, Prepared, RejectReason, Rejection, ServeOutcome, ServeSource,
+    SolveResult, Solved,
 };
-use crate::store::{PlanKey, StoredPlan};
+use crate::stats::{FrontendStats, ServeStats};
+use crate::store::PlanKey;
 
 /// Hard cap on the modelled solve latency, in ticks (keeps due ticks from
 /// running away on jumbo estimates; the cap is the degrade band anyway).
@@ -175,191 +176,54 @@ pub enum FrontendFault {
     SlowShard(Duration),
 }
 
-/// Lifetime counters of one [`AsyncFrontend`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FrontendStats {
-    /// Tickets issued (including those resolved at ingress).
-    pub submitted: usize,
-    /// Tickets resolved.
-    pub completed: usize,
-    /// Requests shed at ingress because the tenant queue was full.
-    pub queue_full_sheds: usize,
-    /// Requests shed by adaptive backpressure (admitted at baseline,
-    /// rejected at the tightened threshold).
-    pub backpressure_sheds: usize,
-    /// Requests rejected by the baseline admission policy.
-    pub admission_rejects: usize,
-    /// Requests rejected by the quarantine.
-    pub quarantine_rejects: usize,
-    /// Requests cancelled at dequeue because their deadline had expired.
-    pub deadline_cancels: usize,
-    /// Requests demoted to the degrade band because they were predicted to
-    /// miss their deadline at full budget.
-    pub deadline_degrades: usize,
-    /// Requests answered from the plan store at dequeue.
-    pub store_hits: usize,
-    /// Requests that joined an in-flight solve of their key.
-    pub dedup_joins: usize,
-    /// Cold solves dispatched to the worker pool.
-    pub dispatches: usize,
-    /// Degraded responses served.
-    pub degraded: usize,
-    /// Solver panics caught.
-    pub panics: usize,
-    /// Solves timed out by the stall watchdog.
-    pub stalls: usize,
-    /// Quarantined fingerprints that completed a retry successfully.
-    pub recovered: usize,
-    /// Current shed level.
-    pub shed_level: u32,
-    /// Highest shed level reached.
-    pub peak_shed_level: u32,
-    /// Shed-level **raises**: ticks on which the backpressure controller
-    /// actually stepped the level up (a tick already at
-    /// [`max_shed_level`](FrontendConfig::max_shed_level) does not count).
-    pub shed_raises: usize,
-    /// Shed-level **lowers**: ticks on which the controller stepped the
-    /// level back down.
-    pub shed_lowers: usize,
-    /// Largest backlog (total queued requests) observed at a tick end.
-    pub peak_backlog: usize,
-    /// Largest single-tenant queue depth observed (≤ the configured
-    /// capacity, by the ingress bound).
-    pub peak_tenant_queue: usize,
-}
-
-/// A ticket's identity while it waits: everything needed to resolve it.
-struct TicketInfo {
+/// A ticket's identity: everything a completion reports besides the
+/// outcome.
+#[derive(Clone, Copy)]
+struct TicketId {
     ticket: Ticket,
     tenant: usize,
     ordinal: u64,
     submitted_tick: u64,
-    request: PlanRequest,
-    prep: Arc<Prepared>,
 }
 
 /// One request sitting in a tenant's ingress queue.
 struct QueuedRequest {
-    ticket: Ticket,
-    tenant: usize,
-    ordinal: u64,
-    submitted_tick: u64,
+    id: TicketId,
     deadline_tick: Option<u64>,
     request: PlanRequest,
+}
+
+/// A dequeued request waiting on a solve.
+struct Waiting {
+    id: TicketId,
+    prep: Arc<Prepared>,
 }
 
 /// One dispatched solve the loop is waiting on.
 struct PendingJob {
     job: u64,
-    key: PlanKey,
     due_tick: u64,
-    degrade_floor: Option<f64>,
-    leader: TicketInfo,
-    followers: Vec<TicketInfo>,
+    /// The leader, then its dedup followers in join order.
+    riders: Vec<Waiting>,
 }
 
-/// A unit of work handed to the pool.
-struct WorkItem {
-    job: u64,
-    prep: Arc<Prepared>,
-    model: CommModel,
-    budget: SearchBudget,
-    cache: Arc<EvalCache>,
-    fault: Option<InjectedFault>,
-    /// Observability registry for the solve (cold-solve span + engine
-    /// stages), when the front end has one attached.
-    metrics: Option<Arc<MetricsRegistry>>,
-}
-
-/// Cached registry handles of one front end, resolved once at attachment
-/// ([`AsyncFrontend::with_metrics`]) and recorded through atomics on the
-/// hot paths.  The counters mirror [`FrontendStats`] one for one (same
-/// increment sites), so a snapshot is checkable against the exact stats.
-/// Wall-clock span durations are observability-only; the latency
-/// histogram records **logical ticks** — a pure function of the logical
-/// timeline, safe next to the replay digests.
-struct FrontendMetrics {
-    registry: Arc<MetricsRegistry>,
+/// Observability handles of one front end, present when its service has
+/// a registry attached.  Wall-clock span durations are observability-only;
+/// the latency histogram records **logical ticks** — a pure function of
+/// the logical timeline, safe next to the replay digests.
+struct LoopInstruments {
     /// `frontend.tick` — one span per event-loop tick.
     tick: SpanTimer,
-    /// `frontend.watchdog` — one span per blocking completion wait (the
-    /// stall watchdog's observation window).
+    /// `frontend.watchdog` — one span per blocking completion wait.
     watchdog: SpanTimer,
-    /// `admission.decide` — pricing span, same instruments as the sync
-    /// batch path when both are attached to one registry.  Duration
-    /// sampling ([`SpanTimer::start_sampled`]) keeps the per-request cost
-    /// to one atomic; the call count stays exact.
-    admission: SpanTimer,
-    ingress: Arc<Counter>,
-    completions: Arc<Counter>,
-    queue_full_sheds: Arc<Counter>,
-    backpressure_sheds: Arc<Counter>,
-    admission_rejects: Arc<Counter>,
-    quarantine_rejects: Arc<Counter>,
-    deadline_cancels: Arc<Counter>,
-    deadline_degrades: Arc<Counter>,
-    store_hits: Arc<Counter>,
-    dedup_joins: Arc<Counter>,
-    dispatches: Arc<Counter>,
-    degraded: Arc<Counter>,
-    panics: Arc<Counter>,
-    stalls: Arc<Counter>,
-    recovered: Arc<Counter>,
-    shed_raises: Arc<Counter>,
-    shed_lowers: Arc<Counter>,
-    /// `frontend.latency_ticks` — logical completion latency
-    /// (`completed_tick - submitted_tick`) of every resolved ticket.
+    /// `frontend.latency_ticks` — logical latency of every resolved ticket.
     latency_ticks: Arc<LogHistogram>,
-    backlog: Arc<Gauge>,
-    shed_level: Arc<Gauge>,
     /// `tenant.requests` — per-tenant submission traffic (sketched).
     tenant_requests: Arc<TrafficSketch>,
     /// `tenant.sheds` — per-tenant shed traffic (queue-full + backpressure).
     tenant_sheds: Arc<TrafficSketch>,
     /// `tenant.degrades` — per-tenant degraded responses (sketched).
     tenant_degrades: Arc<TrafficSketch>,
-}
-
-impl FrontendMetrics {
-    fn new(registry: Arc<MetricsRegistry>) -> Self {
-        FrontendMetrics {
-            tick: registry.span("frontend.tick"),
-            watchdog: registry.span("frontend.watchdog"),
-            admission: registry.span("admission.decide"),
-            ingress: registry.counter("frontend.ingress"),
-            completions: registry.counter("frontend.completions"),
-            queue_full_sheds: registry.counter("frontend.queue_full_sheds"),
-            backpressure_sheds: registry.counter("frontend.backpressure_sheds"),
-            admission_rejects: registry.counter("frontend.admission_rejects"),
-            quarantine_rejects: registry.counter("frontend.quarantine_rejects"),
-            deadline_cancels: registry.counter("frontend.deadline_cancels"),
-            deadline_degrades: registry.counter("frontend.deadline_degrades"),
-            store_hits: registry.counter("frontend.store_hits"),
-            dedup_joins: registry.counter("frontend.dedup_joins"),
-            dispatches: registry.counter("frontend.dispatches"),
-            degraded: registry.counter("frontend.degraded"),
-            panics: registry.counter("frontend.panics"),
-            stalls: registry.counter("frontend.stalls"),
-            recovered: registry.counter("frontend.recovered"),
-            shed_raises: registry.counter("frontend.shed_raises"),
-            shed_lowers: registry.counter("frontend.shed_lowers"),
-            latency_ticks: registry.histogram("frontend.latency_ticks"),
-            backlog: registry.gauge("frontend.backlog"),
-            shed_level: registry.gauge("frontend.shed_level"),
-            tenant_requests: registry.sketch(
-                "tenant.requests",
-                TENANT_SKETCH_DEPTH,
-                TENANT_SKETCH_WIDTH,
-            ),
-            tenant_sheds: registry.sketch("tenant.sheds", TENANT_SKETCH_DEPTH, TENANT_SKETCH_WIDTH),
-            tenant_degrades: registry.sketch(
-                "tenant.degrades",
-                TENANT_SKETCH_DEPTH,
-                TENANT_SKETCH_WIDTH,
-            ),
-            registry,
-        }
-    }
 }
 
 /// State shared between the loop and the workers.
@@ -369,24 +233,25 @@ struct PoolShared {
 }
 
 struct PoolQueue {
-    items: VecDeque<WorkItem>,
+    items: VecDeque<(u64, Job)>,
     /// Heartbeats: when each in-flight job was picked up.
     started: HashMap<u64, Instant>,
     /// Finished solves awaiting the loop.
-    results: HashMap<u64, Result<StoredPlan, String>>,
+    results: HashMap<u64, SolveResult>,
     shutdown: bool,
 }
 
 /// The fixed-size worker pool behind the loop (std threads; the loop is
 /// the only consumer of results, so ordering lives entirely on its side).
 struct WorkerPool {
+    service: Arc<PlanService>,
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     replacements: usize,
 }
 
 impl WorkerPool {
-    fn new(workers: usize) -> Self {
+    fn new(service: Arc<PlanService>, workers: usize) -> Self {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(PoolQueue {
                 items: VecDeque::new(),
@@ -397,6 +262,7 @@ impl WorkerPool {
             ready: Condvar::new(),
         });
         let mut pool = WorkerPool {
+            service,
             shared,
             handles: Vec::new(),
             replacements: 0,
@@ -409,65 +275,46 @@ impl WorkerPool {
 
     fn spawn_worker(&mut self) {
         let shared = Arc::clone(&self.shared);
+        let service = Arc::clone(&self.service);
         self.handles.push(std::thread::spawn(move || loop {
-            let item = {
+            let (id, job) = {
                 let mut queue = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
                 loop {
                     if queue.shutdown {
                         return;
                     }
-                    if let Some(item) = queue.items.pop_front() {
-                        queue.started.insert(item.job, Instant::now());
-                        break item;
+                    if let Some((id, job)) = queue.items.pop_front() {
+                        queue.started.insert(id, Instant::now());
+                        break (id, job);
                     }
                     queue = shared.ready.wait(queue).unwrap_or_else(|p| p.into_inner());
                 }
             };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                match item.fault {
-                    Some(InjectedFault::Panic) => {
-                        panic!("injected solver panic (request ordinal unknown to worker)")
-                    }
-                    Some(InjectedFault::Slow(stall)) => std::thread::sleep(stall),
-                    _ => {}
-                }
-                cold_solve(
-                    &item.prep,
-                    item.model,
-                    &item.budget,
-                    &item.cache,
-                    item.metrics.as_ref(),
-                )
-            }))
-            .map_err(panic_message);
+            let result = service.execute(&job);
             let mut queue = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-            queue.started.remove(&item.job);
-            queue.results.insert(item.job, result);
+            queue.started.remove(&id);
+            queue.results.insert(id, result);
             shared.ready.notify_all();
         }));
     }
 
-    fn submit(&self, item: WorkItem) {
+    fn submit(&self, id: u64, job: Job) {
         let mut queue = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-        queue.items.push_back(item);
+        queue.items.push_back((id, job));
         self.shared.ready.notify_all();
     }
 
     /// Blocks until `job` finishes or its heartbeat exceeds
-    /// `stall_timeout`; `Err(())` declares a stall.  Due ticks are
-    /// monotone in dispatch order, so every earlier job has already been
-    /// applied when this is called — a job that has not started yet is
-    /// about to be picked up by a free worker, never blocked behind
-    /// unhandled work.
-    fn wait(
-        &mut self,
-        job: u64,
-        stall_timeout: Duration,
-    ) -> Result<Result<StoredPlan, String>, ()> {
+    /// `stall_timeout`, which settles it as a [`RejectReason::WorkerStall`]
+    /// failure.  Due ticks are monotone in dispatch order, so every earlier
+    /// job has already been applied when this is called — a job that has
+    /// not started yet is about to be picked up by a free worker, never
+    /// blocked behind unhandled work.
+    fn wait(&mut self, job: u64, stall_timeout: Duration) -> SolveResult {
         let mut queue = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if let Some(result) = queue.results.remove(&job) {
-                return Ok(result);
+                return result;
             }
             let wait_for = match queue.started.get(&job) {
                 Some(started) => {
@@ -481,7 +328,7 @@ impl WorkerPool {
                             self.replacements += 1;
                             self.spawn_worker();
                         }
-                        return Err(());
+                        return Err(RejectReason::WorkerStall);
                     }
                     stall_timeout - elapsed
                 }
@@ -524,7 +371,9 @@ impl Drop for WorkerPool {
 
 /// The deterministic event loop (see the module docs).  Single ownership:
 /// the loop itself is not `Sync` — submissions and ticks happen on one
-/// driver thread, parallelism lives in the worker pool behind it.
+/// driver thread, parallelism lives in the worker pool behind it.  Its
+/// counters are its service's, so a service drives one front end at a
+/// time.
 pub struct AsyncFrontend {
     service: Arc<PlanService>,
     config: FrontendConfig,
@@ -550,18 +399,32 @@ pub struct AsyncFrontend {
     /// Completions produced since the last `tick`/`drain` returned.
     ready: Vec<Completion>,
     pool: WorkerPool,
-    stats: FrontendStats,
-    /// Cached observability handles, when attached
-    /// ([`Self::with_metrics`]).
-    metrics: Option<FrontendMetrics>,
+    /// Span, histogram and sketch handles, when the service has a
+    /// registry attached.
+    metrics: Option<LoopInstruments>,
 }
 
 impl AsyncFrontend {
-    /// A front end over `service` (whose store, quarantine, caches and
-    /// budget are shared with the sync path) under `config`.
+    /// A front end over `service` (whose store, quarantine, caches,
+    /// budget, counters and registry are shared with the sync path) under
+    /// `config`.  With a registry attached to the service, the loop also
+    /// records `frontend.tick`/`frontend.watchdog` spans, the logical-tick
+    /// latency histogram (`frontend.latency_ticks`) and per-tenant traffic
+    /// sketches (`tenant.requests` / `tenant.sheds` / `tenant.degrades`).
     pub fn new(service: Arc<PlanService>, config: FrontendConfig) -> Self {
+        let metrics = service.metrics_registry().map(|registry| {
+            let sketch = |name| registry.sketch(name, TENANT_SKETCH_DEPTH, TENANT_SKETCH_WIDTH);
+            LoopInstruments {
+                tick: registry.span("frontend.tick"),
+                watchdog: registry.span("frontend.watchdog"),
+                latency_ticks: registry.histogram("frontend.latency_ticks"),
+                tenant_requests: sketch("tenant.requests"),
+                tenant_sheds: sketch("tenant.sheds"),
+                tenant_degrades: sketch("tenant.degrades"),
+            }
+        });
         AsyncFrontend {
-            pool: WorkerPool::new(config.workers),
+            pool: WorkerPool::new(Arc::clone(&service), config.workers),
             service,
             config,
             fault_hook: None,
@@ -576,29 +439,8 @@ impl AsyncFrontend {
             in_flight: HashMap::new(),
             abandoned: HashSet::new(),
             ready: Vec::new(),
-            stats: FrontendStats::default(),
-            metrics: None,
+            metrics,
         }
-    }
-
-    /// Attaches an observability registry to the whole request path: the
-    /// tick loop records `frontend.*` counters/spans/gauges (mirroring
-    /// [`FrontendStats`] one for one), the logical-tick latency histogram
-    /// (`frontend.latency_ticks`), per-tenant traffic sketches
-    /// (`tenant.requests` / `tenant.sheds` / `tenant.degrades`), the
-    /// admission-pricing span, the owning service's store counters
-    /// (`store.*`), and every dispatched cold solve threads the registry
-    /// down to the engine stages.  Instrumentation is pure observability:
-    /// no decision, outcome, or replay digest depends on it.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.service.store().attach_metrics(&registry);
-        self.metrics = Some(FrontendMetrics::new(registry));
-        self
-    }
-
-    /// The attached observability registry, if any.
-    pub fn metrics_registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref().map(|m| &m.registry)
     }
 
     /// Installs a deterministic async-layer fault hook keyed by request
@@ -621,24 +463,18 @@ impl AsyncFrontend {
 
     /// Lifetime counters.
     pub fn stats(&self) -> FrontendStats {
-        self.stats
+        self.service.counters().frontend()
     }
 
-    /// One tier-wide snapshot **through this front end**: the owning
-    /// service's [`ServeStats`] with the async-only fields filled in —
-    /// shed-level transition counts (`shed_raises` / `shed_lowers`) and
-    /// deadline-cancellation totals, which the service alone cannot see.
+    /// One tier-wide snapshot of the owning service (see [`ServeStats`]).
     pub fn serve_stats(&self) -> ServeStats {
-        let mut stats = self.service.serve_stats();
-        stats.shed_raises = self.stats.shed_raises;
-        stats.shed_lowers = self.stats.shed_lowers;
-        stats.deadline_cancels = self.stats.deadline_cancels;
-        stats
+        self.service.serve_stats()
     }
 
     /// Tickets not yet resolved (queued + in flight).
     pub fn outstanding(&self) -> usize {
-        self.stats.submitted - self.stats.completed
+        let c = self.service.counters();
+        (c.ingress.get() - c.completions.get()) as usize
     }
 
     /// Submits one request under the configured default deadline.  Never
@@ -669,47 +505,30 @@ impl AsyncFrontend {
         deadline_ticks: Option<u64>,
     ) -> CoreResult<Ticket> {
         request.app.validate()?;
-        let ticket = Ticket(self.next_ticket);
+        let id = TicketId {
+            ticket: Ticket(self.next_ticket),
+            tenant,
+            ordinal: self.service.next_ordinals(1),
+            submitted_tick: self.tick,
+        };
         self.next_ticket += 1;
-        let ordinal = self.service.next_ordinals(1);
-        self.stats.submitted += 1;
+        self.service.counters().ingress.inc();
         if let Some(m) = &self.metrics {
-            m.ingress.inc();
             m.tenant_requests.record(tenant as u64, 1);
         }
         let queue = self.queues.entry(tenant).or_default();
         if queue.len() >= self.config.queue_capacity {
-            self.stats.queue_full_sheds += 1;
-            if let Some(m) = &self.metrics {
-                m.queue_full_sheds.inc();
-                m.completions.inc();
-                m.latency_ticks.record(0);
-                m.tenant_sheds.record(tenant as u64, 1);
-            }
-            self.ready.push(Completion {
-                ticket,
-                tenant,
-                ordinal,
-                submitted_tick: self.tick,
-                completed_tick: self.tick,
-                outcome: ServeOutcome::Rejected(Rejection {
-                    reason: RejectReason::QueueFull,
-                    estimate: None,
-                }),
-            });
-            self.stats.completed += 1;
-            return Ok(ticket);
+            self.reject(id, RejectReason::QueueFull);
+            return Ok(id.ticket);
         }
         queue.push_back(QueuedRequest {
-            ticket,
-            tenant,
-            ordinal,
-            submitted_tick: self.tick,
+            id,
             deadline_tick: deadline_ticks.map(|d| self.tick + d),
             request,
         });
-        self.stats.peak_tenant_queue = self.stats.peak_tenant_queue.max(queue.len());
-        Ok(ticket)
+        let depth = queue.len() as u64;
+        self.service.counters().tenant_queue.set(depth);
+        Ok(id.ticket)
     }
 
     /// Advances one logical tick: applies due completion events, dequeues
@@ -719,7 +538,12 @@ impl AsyncFrontend {
         let _tick_span = self.metrics.as_ref().map(|m| m.tick.start());
         self.tick += 1;
         self.apply_due_completions();
-        self.dispatch_phase();
+        for _ in 0..self.config.dispatch_per_tick {
+            let Some(item) = self.next_queued() else {
+                break;
+            };
+            self.decide_one(item);
+        }
         self.update_shed_level();
         std::mem::take(&mut self.ready)
     }
@@ -735,10 +559,11 @@ impl AsyncFrontend {
     }
 
     /// Applies every pending completion whose due tick has arrived, in
-    /// dispatch order.  Blocks on the worker's actual result (bounded by
-    /// the stall watchdog): parallelism is preserved — later jobs keep
-    /// solving while the loop waits — but store and quarantine effects
-    /// land in deterministic order.
+    /// dispatch order: settle, then respond to the leader and its
+    /// followers.  Blocks on the worker's actual result (bounded by the
+    /// stall watchdog): parallelism is preserved — later jobs keep solving
+    /// while the loop waits — but store and quarantine effects land in
+    /// deterministic order.
     fn apply_due_completions(&mut self) {
         // Purge late results of previously abandoned jobs.
         self.abandoned.retain(|&job| !self.pool.discard(job));
@@ -748,473 +573,168 @@ impl AsyncFrontend {
             .is_some_and(|job| job.due_tick <= self.tick)
         {
             let job = self.pending.pop_front().expect("front checked");
-            self.in_flight.remove(&job.key);
-            let waited = {
+            let key = &job.riders[0].prep.key;
+            self.in_flight.remove(key);
+            let result = {
                 let _watchdog = self.metrics.as_ref().map(|m| m.watchdog.start());
                 self.pool.wait(job.job, self.config.stall_timeout)
             };
-            match waited {
-                Ok(Ok(plan)) => {
-                    if self.service.quarantine().record_success(&job.key) {
-                        self.stats.recovered += 1;
-                        if let Some(m) = &self.metrics {
-                            m.recovered.inc();
-                        }
-                    }
-                    if plan.exhaustive {
-                        self.service.store().insert(job.key.clone(), plan.clone());
-                    } else {
-                        self.service
-                            .store()
-                            .record_attempt_cost(&job.key, plan.solve_micros);
-                    }
-                    self.resolve_solved(job, plan);
-                }
-                Ok(Err(message)) => {
-                    self.stats.panics += 1;
-                    if let Some(m) = &self.metrics {
-                        m.panics.inc();
-                    }
-                    self.service.quarantine().record_failure(&job.key);
-                    self.service.drop_cache(&job.key.fingerprint);
-                    self.resolve_rejected(
-                        job,
-                        RejectReason::SolverPanic {
-                            message: message.clone(),
-                        },
-                    );
-                }
-                Err(()) => {
-                    self.stats.stalls += 1;
-                    if let Some(m) = &self.metrics {
-                        m.stalls.inc();
-                    }
-                    self.abandoned.insert(job.job);
-                    self.service.quarantine().record_failure(&job.key);
-                    self.service.drop_cache(&job.key.fingerprint);
-                    self.resolve_rejected(job, RejectReason::WorkerStall);
-                }
+            if matches!(result, Err(RejectReason::WorkerStall)) {
+                self.abandoned.insert(job.job);
+            }
+            self.service.settle(key, &result);
+            let mut source = ServeSource::Cold;
+            for waiting in job.riders {
+                let outcome = self.service.respond(&waiting.prep, &result, source);
+                self.complete(waiting.id, outcome);
+                source = ServeSource::Dedup;
             }
         }
     }
 
-    fn resolve_solved(&mut self, job: PendingJob, plan: StoredPlan) {
-        // Degraded results admitted without a priced floor get one
-        // certified now (slow path; same post-hoc pass as the sync path).
-        let floor = if plan.exhaustive {
-            None
-        } else {
-            job.degrade_floor.or_else(|| {
-                let r = &job.leader.request;
-                self.service.admission().certified_floor(
-                    &r.app,
-                    r.model,
-                    r.objective,
-                    self.service.budget(),
-                )
-            })
-        };
-        let completed_tick = self.tick;
-        let leader = job.leader;
-        let followers = job.followers;
-        self.emit_response(leader, &plan, ServeSource::Cold, floor, completed_tick);
-        for follower in followers {
-            self.emit_response(follower, &plan, ServeSource::Dedup, floor, completed_tick);
-        }
-    }
-
-    fn emit_response(
-        &mut self,
-        info: TicketInfo,
-        plan: &StoredPlan,
-        source: ServeSource,
-        floor: Option<f64>,
-        completed_tick: u64,
-    ) {
-        let graph = info
-            .prep
-            .canon
-            .graph_to_tenant(&plan.graph)
-            .expect("canonical plans relabel cleanly");
-        let response = PlanResponse {
-            value: plan.value,
-            graph,
-            exhaustive: plan.exhaustive,
-            source,
-            solve_micros: plan.solve_micros,
-        };
-        let outcome = if response.exhaustive {
-            ServeOutcome::Exact(response)
-        } else {
-            self.stats.degraded += 1;
-            if let Some(m) = &self.metrics {
-                m.degraded.inc();
-                m.tenant_degrades.record(info.tenant as u64, 1);
-            }
-            let lower_bound = floor.unwrap_or(0.0);
-            let gap = if lower_bound > 0.0 {
-                (response.value - lower_bound) / lower_bound
-            } else {
-                f64::INFINITY
-            };
-            ServeOutcome::Degraded {
-                response,
-                lower_bound,
-                gap,
-            }
-        };
-        self.complete(info, completed_tick, outcome);
-    }
-
-    fn resolve_rejected(&mut self, job: PendingJob, reason: RejectReason) {
-        let completed_tick = self.tick;
-        let leader = job.leader;
-        let followers = job.followers;
-        self.complete(
-            leader,
-            completed_tick,
-            ServeOutcome::Rejected(Rejection {
-                reason: reason.clone(),
-                estimate: None,
-            }),
-        );
-        for follower in followers {
-            self.complete(
-                follower,
-                completed_tick,
-                ServeOutcome::Rejected(Rejection {
-                    reason: reason.clone(),
-                    estimate: None,
-                }),
-            );
-        }
-    }
-
-    fn complete(&mut self, info: TicketInfo, completed_tick: u64, outcome: ServeOutcome) {
-        self.stats.completed += 1;
+    /// Resolves one ticket now: counts its outcome and queues the
+    /// completion event.
+    fn complete(&mut self, id: TicketId, outcome: ServeOutcome) {
+        let counters = self.service.counters();
+        counters.record(&outcome);
+        counters.completions.inc();
         if let Some(m) = &self.metrics {
-            m.completions.inc();
-            m.latency_ticks.record(completed_tick - info.submitted_tick);
+            m.latency_ticks.record(self.tick - id.submitted_tick);
+            let tenant = id.tenant as u64;
+            match &outcome {
+                ServeOutcome::Degraded { .. } => m.tenant_degrades.record(tenant, 1),
+                ServeOutcome::Rejected(Rejection {
+                    reason: RejectReason::QueueFull | RejectReason::Shed { .. },
+                    ..
+                }) => m.tenant_sheds.record(tenant, 1),
+                _ => {}
+            }
         }
         self.ready.push(Completion {
-            ticket: info.ticket,
-            tenant: info.tenant,
-            ordinal: info.ordinal,
-            submitted_tick: info.submitted_tick,
-            completed_tick,
+            ticket: id.ticket,
+            tenant: id.tenant,
+            ordinal: id.ordinal,
+            submitted_tick: id.submitted_tick,
+            completed_tick: self.tick,
             outcome,
         });
     }
 
-    /// Dequeues up to `dispatch_per_tick` requests, one per tenant per
-    /// round-robin pass starting after the last tick's position.
-    fn dispatch_phase(&mut self) {
-        let mut budget = self.config.dispatch_per_tick;
-        while budget > 0 {
-            let Some(item) = self.next_queued() else {
-                break;
-            };
-            budget -= 1;
-            self.decide_one(item);
-        }
+    fn reject(&mut self, id: TicketId, reason: RejectReason) {
+        let rejection = Rejection {
+            reason,
+            estimate: None,
+            source: None,
+        };
+        self.complete(id, ServeOutcome::Rejected(rejection));
     }
 
-    /// The next queued request in round-robin tenant order, if any.
+    /// The next queued request in round-robin tenant order, if any: the
+    /// first non-empty queue after the last served tenant, wrapping round.
     fn next_queued(&mut self) -> Option<QueuedRequest> {
-        let tenants: Vec<usize> = self
+        let after = self.rr_after.map_or(Bound::Unbounded, Bound::Excluded);
+        let tenant = self
             .queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&t, _)| t)
-            .collect();
-        if tenants.is_empty() {
-            return None;
-        }
-        let start = match self.rr_after {
-            None => 0,
-            Some(after) => tenants.iter().position(|&t| t > after).unwrap_or(0),
-        };
-        let tenant = tenants[start];
+            .range((after, Bound::Unbounded))
+            .chain(&self.queues)
+            .find(|(_, queue)| !queue.is_empty())
+            .map(|(&tenant, _)| tenant)?;
         self.rr_after = Some(tenant);
         self.queues
             .get_mut(&tenant)
             .and_then(|queue| queue.pop_front())
     }
 
-    /// The full dequeue decision pipeline for one request: deadline →
-    /// (slow-shard fault) → store → dedup → quarantine → backlog-scaled
-    /// admission → dispatch.
+    /// The dequeue decision pipeline for one request: deadline →
+    /// (slow-shard fault) → store → dedup → admit at the shed level →
+    /// (predicted deadline miss) → dispatch.
     fn decide_one(&mut self, item: QueuedRequest) {
         let QueuedRequest {
-            ticket,
-            tenant,
-            ordinal,
-            submitted_tick,
+            id,
             deadline_tick,
             request,
         } = item;
         // 1. Cancellation: an expired deadline is not worth a lookup.
         if deadline_tick.is_some_and(|deadline| self.tick > deadline) {
-            self.stats.deadline_cancels += 1;
-            if let Some(m) = &self.metrics {
-                m.deadline_cancels.inc();
-            }
-            self.reject_now(
-                ticket,
-                tenant,
-                ordinal,
-                submitted_tick,
-                RejectReason::DeadlineExpired,
-                None,
-            );
-            return;
+            return self.reject(id, RejectReason::DeadlineExpired);
         }
-        let prep = Arc::new(Prepared::of(&request, self.service.budget()));
-        let info = TicketInfo {
-            ticket,
-            tenant,
-            ordinal,
-            submitted_tick,
-            request,
-            prep,
-        };
+        let prep = Arc::new(Prepared::new(request, self.service.budget()));
         // 2. Injected slow shard: wall-clock stall before the lookup, no
         // effect on any decision.
-        if let Some(FrontendFault::SlowShard(delay)) = self.frontend_fault(ordinal) {
+        if let Some(FrontendFault::SlowShard(delay)) = self.frontend_fault(id.ordinal) {
             std::thread::sleep(delay);
         }
         // 3. Store hit: resolved this tick.
-        if let Some(plan) = self.service.store().get(&info.prep.key) {
-            self.stats.store_hits += 1;
-            if let Some(m) = &self.metrics {
-                m.store_hits.inc();
-            }
-            let completed_tick = self.tick;
-            self.emit_response(info, &plan, ServeSource::Store, None, completed_tick);
-            return;
+        if let Some(plan) = self.service.store().get(&prep.key) {
+            let hit = Ok(Solved { plan, floor: None });
+            let outcome = self.service.respond(&prep, &hit, ServeSource::Store);
+            return self.complete(id, outcome);
         }
         // 4. Dedup join: ride the in-flight solve of the same key.
-        if let Some(&job) = self.in_flight.get(&info.prep.key) {
-            self.stats.dedup_joins += 1;
-            if let Some(m) = &self.metrics {
-                m.dedup_joins.inc();
-            }
+        if let Some(&job) = self.in_flight.get(&prep.key) {
             if let Some(pending) = self.pending.iter_mut().find(|p| p.job == job) {
-                pending.followers.push(info);
+                pending.riders.push(Waiting { id, prep });
             }
             return;
         }
-        // 5. Quarantine gate.
-        if let Err(permanent) = self.service.quarantine().admit(&info.prep.key) {
-            self.stats.quarantine_rejects += 1;
-            if let Some(m) = &self.metrics {
-                m.quarantine_rejects.inc();
-            }
-            let TicketInfo {
-                ticket,
-                tenant,
-                ordinal,
-                submitted_tick,
-                ..
-            } = info;
-            self.reject_now(
-                ticket,
-                tenant,
-                ordinal,
-                submitted_tick,
-                RejectReason::Quarantined { permanent },
-                None,
-            );
-            return;
-        }
-        // 6. Admission under backlog-scaled thresholds.
-        let service = Arc::clone(&self.service);
-        let policy = service.admission();
-        let mut time_limit: Option<Duration> = None;
-        let mut floor: Option<f64> = None;
-        let mut latency: u64 = 1;
-        if !policy.is_open() {
-            let estimate = {
-                let _pricing = self
-                    .metrics
-                    .as_ref()
-                    .and_then(|m| m.admission.start_sampled());
-                policy.estimate(
-                    &info.request.app,
-                    info.request.model,
-                    info.request.objective,
-                    service.budget(),
-                )
-            };
-            let level = self.shed_level.min(127);
-            let effective_admit = policy.admit_cost >> level;
-            let effective_reject = policy.reject_cost >> level;
-            latency = 1
-                + (estimate.cost / self.config.cost_per_tick.max(1))
-                    .min(u128::from(MAX_LATENCY_TICKS)) as u64;
-            if estimate.cost > effective_reject {
-                let (reason, estimate) = if estimate.cost > policy.reject_cost {
-                    self.stats.admission_rejects += 1;
-                    if let Some(m) = &self.metrics {
-                        m.admission_rejects.inc();
-                    }
-                    (RejectReason::AdmissionCost, Some(estimate))
-                } else {
-                    self.stats.backpressure_sheds += 1;
-                    if let Some(m) = &self.metrics {
-                        m.backpressure_sheds.inc();
-                        m.tenant_sheds.record(info.tenant as u64, 1);
-                    }
-                    (RejectReason::Shed { level }, Some(estimate))
-                };
-                let TicketInfo {
-                    ticket,
-                    tenant,
-                    ordinal,
-                    submitted_tick,
-                    ..
-                } = info;
-                self.reject_now(ticket, tenant, ordinal, submitted_tick, reason, estimate);
-                return;
-            }
-            if estimate.cost > effective_admit {
-                time_limit = Some(policy.degrade_time_limit);
-                floor = policy.certified_floor(
-                    &info.request.app,
-                    info.request.model,
-                    info.request.objective,
-                    service.budget(),
-                );
-            }
-        }
-        // 7. Deadline propagation: predicted to miss at full budget →
+        // 5. Quarantine and admission under backlog-scaled thresholds.
+        let mut admitted = match self.service.admit(&prep, self.shed_level) {
+            Ok(admitted) => admitted,
+            Err(rejection) => return self.complete(id, ServeOutcome::Rejected(rejection)),
+        };
+        let latency = 1
+            + (admitted.cost / self.config.cost_per_tick.max(1)).min(u128::from(MAX_LATENCY_TICKS))
+                as u64;
+        // 6. Deadline propagation: predicted to miss at full budget →
         // degrade instead of solving uselessly.
         if let Some(deadline) = deadline_tick {
-            if time_limit.is_none() && self.tick + latency > deadline {
-                self.stats.deadline_degrades += 1;
-                if let Some(m) = &self.metrics {
-                    m.deadline_degrades.inc();
-                }
-                time_limit = Some(policy.degrade_time_limit);
+            if admitted.time_limit.is_none() && self.tick + latency > deadline {
+                self.service.counters().deadline_degrades.inc();
+                admitted.time_limit = Some(self.service.admission().degrade_time_limit);
             }
         }
-        // 8. Dispatch.
-        self.dispatch(info, time_limit, floor, latency);
+        // 7. Dispatch.  Due ticks are monotone in dispatch order
+        // (completion events are applied FIFO), which is what makes the
+        // loop's store/quarantine effects — and the fault-replay digests —
+        // thread-count independent.
+        let job_id = self.next_job;
+        self.next_job += 1;
+        let mut job = self.service.job(Arc::clone(&prep), id.ordinal, admitted);
+        if let Some(FrontendFault::StallWorker(stall)) = self.frontend_fault(id.ordinal) {
+            job.stall = Some(stall);
+        }
+        self.pool.submit(job_id, job);
+        let due_tick = (self.tick + latency).max(self.last_due);
+        self.last_due = due_tick;
+        self.in_flight.insert(prep.key.clone(), job_id);
+        self.pending.push_back(PendingJob {
+            job: job_id,
+            due_tick,
+            riders: vec![Waiting { id, prep }],
+        });
     }
 
     fn frontend_fault(&self, ordinal: u64) -> Option<FrontendFault> {
         self.fault_hook.as_ref().and_then(|hook| hook(ordinal))
     }
 
-    fn dispatch(
-        &mut self,
-        info: TicketInfo,
-        time_limit: Option<Duration>,
-        floor: Option<f64>,
-        latency: u64,
-    ) {
-        let job = self.next_job;
-        self.next_job += 1;
-        self.stats.dispatches += 1;
-        if let Some(m) = &self.metrics {
-            m.dispatches.inc();
-        }
-        let mut budget = SearchBudget {
-            threads: 1,
-            ..*self.service.budget()
-        };
-        if let Some(limit) = time_limit {
-            budget.time_limit = Some(budget.time_limit.map_or(limit, |own| own.min(limit)));
-        }
-        let mut fault = self.service.injected_fault(info.ordinal);
-        if fault == Some(InjectedFault::DeadlineBlowout) {
-            budget.time_limit = Some(Duration::ZERO);
-            fault = None;
-        }
-        if let Some(FrontendFault::StallWorker(stall)) = self.frontend_fault(info.ordinal) {
-            // A stall is a slowdown from the worker's point of view; the
-            // loop-side watchdog is what turns it into a WorkerStall.
-            fault = Some(InjectedFault::Slow(stall));
-        }
-        let cache = self.service.retained_cache(&info.prep.canon);
-        // Due ticks are monotone in dispatch order (completion events are
-        // applied FIFO), which is what makes the loop's store/quarantine
-        // effects — and the fault-replay digests — thread-count
-        // independent.
-        let due_tick = (self.tick + latency).max(self.last_due);
-        self.last_due = due_tick;
-        self.pool.submit(WorkItem {
-            job,
-            prep: Arc::clone(&info.prep),
-            model: info.request.model,
-            budget,
-            cache,
-            fault,
-            metrics: self.metrics.as_ref().map(|m| Arc::clone(&m.registry)),
-        });
-        self.in_flight.insert(info.prep.key.clone(), job);
-        self.pending.push_back(PendingJob {
-            job,
-            key: info.prep.key.clone(),
-            due_tick,
-            degrade_floor: floor,
-            leader: info,
-            followers: Vec::new(),
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)] // one flat completion record
-    fn reject_now(
-        &mut self,
-        ticket: Ticket,
-        tenant: usize,
-        ordinal: u64,
-        submitted_tick: u64,
-        reason: RejectReason,
-        estimate: Option<crate::admission::CostEstimate>,
-    ) {
-        self.stats.completed += 1;
-        if let Some(m) = &self.metrics {
-            m.completions.inc();
-            m.latency_ticks.record(self.tick - submitted_tick);
-        }
-        self.ready.push(Completion {
-            ticket,
-            tenant,
-            ordinal,
-            submitted_tick,
-            completed_tick: self.tick,
-            outcome: ServeOutcome::Rejected(Rejection { reason, estimate }),
-        });
-    }
-
     /// One hysteresis step: the backlog after this tick's dispatches
     /// moves the shed level at most one notch.
     fn update_shed_level(&mut self) {
         let backlog: usize = self.queues.values().map(VecDeque::len).sum();
-        self.stats.peak_backlog = self.stats.peak_backlog.max(backlog);
+        let counters = self.service.counters();
         if backlog >= self.config.backlog_high {
             let raised = (self.shed_level + 1).min(self.config.max_shed_level);
             if raised != self.shed_level {
                 self.shed_level = raised;
-                self.stats.shed_raises += 1;
-                if let Some(m) = &self.metrics {
-                    m.shed_raises.inc();
-                }
+                counters.shed_raises.inc();
             }
         } else if backlog <= self.config.backlog_low && self.shed_level > 0 {
             self.shed_level -= 1;
-            self.stats.shed_lowers += 1;
-            if let Some(m) = &self.metrics {
-                m.shed_lowers.inc();
-            }
+            counters.shed_lowers.inc();
         }
-        if let Some(m) = &self.metrics {
-            m.backlog.set(backlog as u64);
-            m.shed_level.set(u64::from(self.shed_level));
-        }
-        self.stats.shed_level = self.shed_level;
-        self.stats.peak_shed_level = self.stats.peak_shed_level.max(self.shed_level);
+        counters.backlog.set(backlog as u64);
+        counters.shed_level.set(u64::from(self.shed_level));
     }
 }
 
@@ -1222,8 +742,8 @@ impl AsyncFrontend {
 mod tests {
     use super::*;
     use crate::admission::AdmissionPolicy;
-    use fsw_core::Application;
-    use fsw_sched::orchestrator::Objective;
+    use fsw_core::{Application, CommModel};
+    use fsw_sched::orchestrator::{Objective, SearchBudget};
 
     fn service() -> Arc<PlanService> {
         Arc::new(PlanService::new(SearchBudget::default(), 64))

@@ -26,69 +26,56 @@
 //!   ([`fsw_sched::orchestrator::solve_warm`]), and a **plan-churn** metric
 //!   reports how many parent assignments moved, so stability is measurable.
 //!
-//! Since the hardening pass, the service also **prices every request
-//! before solving it** ([`admission`]): an O(shapes) structural cost
-//! estimate decides Admit / AdmitWithDeadline / Reject before any
-//! enumeration starts, responses are a three-way
-//! [`ServeOutcome`](service::ServeOutcome) (`Exact` / `Degraded` /
-//! `Rejected`), solver panics are caught and quarantined instead of
-//! poisoning the queue, and a deterministic fault hook
-//! ([`PlanService::with_fault_injection`](service::PlanService::with_fault_injection))
+//! Every request is also **priced before it is solved** ([`admission`]):
+//! an O(shapes) structural cost estimate decides Admit /
+//! AdmitWithDeadline / Shed / Reject before any enumeration starts,
+//! responses are a three-way [`ServeOutcome`](service::ServeOutcome)
+//! (`Exact` / `Degraded` / `Rejected`), solver panics are caught and
+//! quarantined instead of poisoning the queue, and a deterministic fault
+//! hook ([`PlanService::with_fault_injection`](service::PlanService::with_fault_injection))
 //! makes all of it testable under replay.
 //!
-//! Since the async pass, an optional **event-loop front end**
-//! ([`frontend::AsyncFrontend`]) sits above `serve_batch`: callers get a
-//! [`Ticket`](frontend::Ticket) from a bounded per-tenant ingress queue
-//! instead of blocking on a batch, the live backlog feeds back into the
-//! admission thresholds (adaptive load shedding with hysteresis),
-//! deadlines propagate to dequeue-time cancellation, and worker
-//! heartbeats time out stalled solves into the quarantine — all decisions
+//! The service has two front doors over **one pipeline**: the synchronous
+//! [`serve_batch`](service::PlanService::serve_batch), and the
+//! event-loop [`AsyncFrontend`](frontend::AsyncFrontend), whose callers
+//! get a [`Ticket`](frontend::Ticket) from a bounded per-tenant ingress
+//! queue instead of blocking, whose live backlog tightens the admission
+//! thresholds (adaptive load shedding with hysteresis), and whose worker
+//! heartbeats time stalled solves out into the quarantine — all decisions
 //! on one loop thread in logical ticks, so replays are deterministic
-//! across worker counts.  The async request lifecycle:
-//!
-//! ```text
-//!   submit(tenant, request) ──► ticket        (never blocks)
-//!        │ bounded tenant queue ──full──► Rejected{QueueFull}
-//!        ▼ dequeue (round-robin, ≤ dispatch_per_tick per tick)
-//!   deadline check ──expired──► Rejected{DeadlineExpired}
-//!        ▼
-//!   store hit ──► Exact (same tick)
-//!        ▼ miss
-//!   quarantine ──► Rejected{Quarantined}
-//!        ▼ clear
-//!   admission @ thresholds >> shed_level      (backlog feedback)
-//!        │        └─over scaled reject──► Rejected{Shed{level}}
-//!        ▼ admit / degrade-band / predicted-deadline-miss
-//!   dispatch ──► worker pool ──► completion event (due-tick order)
-//!        │                           │ heartbeat timeout
-//!        ▼                           ▼
-//!   Exact / Degraded            Rejected{WorkerStall} ─► quarantine
-//! ```
-//!
-//! The request lifecycle, end to end:
+//! across worker counts.  Both doors call the same stage functions of
+//! [`PlanService`](service::PlanService) (admit → execute → settle →
+//! respond) and count into one set of counters ([`stats`]).  The request
+//! lifecycle, end to end (`[async]` marks the event loop's own stages):
 //!
 //! ```text
 //!   request (app, model, objective)
+//!        │ [async] submit → bounded tenant queue ──full──► Rejected{QueueFull}
+//!        │ [async] dequeue round-robin ──deadline expired──► Rejected{DeadlineExpired}
 //!        │ canonicalise                  fsw_core::CanonicalApplication
 //!        ▼
-//!   fingerprint ──► plan store ──hit──────► relabel ──► Exact
+//!   fingerprint ──► plan store ──hit──────► respond: relabel ──► Exact
 //!        │ miss                                ▲
 //!        ▼                                     │
-//!   quarantine gate ──backoff/permanent──► Rejected
-//!        │ clear                               │
-//!        ▼                                     │
-//!   admission pricing (O(shapes))              │
-//!        │    │            └─over reject_cost► Rejected{estimate}
-//!        │    └─degrade band: arm deadline     │
-//!        ▼                                     │
-//!   in-flight dedup (one leader per key)       │
+//!   in-flight dedup (one leader per key) ──followers share the leader's result
 //!        │ leaders                             │
 //!        ▼                                     │
-//!   par::Exec pool ── catch_unwind ┬─ exhaustive ─► store insert ─► Exact
-//!     (solve_with_cache)           ├─ interrupted ─► Degraded{floor, gap}
-//!                                  └─ panic ─► quarantine ─► Rejected
-//!                                              (followers woken with the
-//!                                               leader's error — no hangs)
+//!   admit: quarantine ──backoff/permanent──► Rejected{Quarantined}
+//!        │ clear                               │
+//!        ▼                                     │
+//!   admit: pricing at thresholds >> shed level │  ([async] level from backlog)
+//!        │    │    ├─over scaled reject only─► Rejected{Shed{level}}
+//!        │    │    └─over reject_cost───────► Rejected{AdmissionCost, estimate}
+//!        │    └─degrade band (or [async] predicted deadline miss): arm deadline
+//!        ▼                                     │
+//!   execute: par pool / [async] worker pool    │
+//!     fault hook + catch_unwind + cold solve   │
+//!        ▼                                     │
+//!   settle (leader order) ┬─ exhaustive ─► store insert ─► Exact
+//!                         ├─ interrupted ─► Degraded{floor, gap}
+//!                         ├─ panic ─► quarantine ─► Rejected{SolverPanic}
+//!                         └─ [async] heartbeat timeout ─► quarantine
+//!                                                  ─► Rejected{WorkerStall}
 //! ```
 //!
 //! Every served **`Exact`** value is bit-identical to a cold solve of the
@@ -107,15 +94,15 @@ pub mod admission;
 pub mod frontend;
 pub mod online;
 pub mod service;
+pub mod stats;
 pub mod store;
 
 pub use admission::{AdmissionDecision, AdmissionPolicy, CostEstimate};
-pub use frontend::{
-    AsyncFrontend, Completion, FrontendConfig, FrontendFault, FrontendStats, Ticket,
-};
+pub use frontend::{AsyncFrontend, Completion, FrontendConfig, FrontendFault, Ticket};
 pub use online::{ReplanOutcome, TenantEvent, TenantSession};
 pub use service::{
     permutation_collapse_allowed, solve_all, InjectedFault, PlanRequest, PlanResponse, PlanService,
-    RejectReason, Rejection, ServeOutcome, ServeSource, ServeStats, ServiceStats,
+    RejectReason, Rejection, ServeOutcome, ServeSource,
 };
+pub use stats::{FrontendStats, ServeStats, ServiceStats};
 pub use store::{PlanKey, PlanStore, StoreStats, StoredPlan};

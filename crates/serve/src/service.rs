@@ -1,41 +1,30 @@
-//! The batched request queue: canonicalise → admit → store → dedup → pool.
+//! The serving pipeline: canonicalise → store → dedup → admit → execute →
+//! settle → respond (the lifecycle diagram is in the crate docs).
 //!
-//! [`PlanService::serve_batch`] is the service's front door.  A batch of
-//! tenant requests is processed in five stages:
+//! [`PlanService`] owns the tier's shared state — plan store, quarantine,
+//! retained evaluation caches, request ordinals and counters — and the
+//! **stage functions** both front doors call: the synchronous
+//! [`PlanService::serve_batch`] here and the event loop of
+//! [`AsyncFrontend`](crate::AsyncFrontend).  The doors differ only in how
+//! they batch, order and wait on work:
 //!
-//! 1. every request is **canonicalised** ([`fsw_core::CanonicalApplication`])
-//!    and keyed by its [`PlanKey`] — the permutation collapse engages only
-//!    when the solve path is provably label-invariant
-//!    ([`permutation_collapse_allowed`]), so an [`Exact`](ServeOutcome::Exact)
-//!    value is always bit-identical to a cold solve of the tenant's own
-//!    application;
-//! 2. keys already in the **plan store** are answered immediately
-//!    ([`ServeSource::Store`]) — the store only ever holds exhaustive
-//!    plans, so a hit is always `Exact`;
-//! 3. the remaining requests pass the **quarantine** (fingerprints that
-//!    panicked the solver are rejected during their backoff, permanently
-//!    after repeated failures) and the **admission policy**
-//!    ([`crate::admission`]): each distinct key is priced in O(shapes)
-//!    before any enumeration, and requests whose structural cost clears
-//!    the reject threshold never touch the solve pool;
-//! 4. admitted requests are **deduplicated in flight**: the first request
-//!    of each distinct missing key becomes its *leader*
-//!    ([`ServeSource::Cold`]), later ones become *followers*
-//!    ([`ServeSource::Dedup`]) and share the leader's outcome — including
-//!    a failure: followers of a panicked leader observe the error instead
-//!    of hanging;
-//! 5. the leaders drain onto the `fsw_sched::par` worker pool under
-//!    `catch_unwind` (a panicking solve is caught, reported as a
-//!    [`RejectReason::SolverPanic`] outcome and quarantined — it never
-//!    poisons the batch), each cold solve running under its own deadline
-//!    (the budget's, tightened by the admission policy's degrade deadline
-//!    in the [`AdmitWithDeadline`](crate::admission::AdmissionDecision)
-//!    band); **exhaustive** results are inserted into the store and fanned
-//!    back out as `Exact`, interrupted or budget-capped ones come back
-//!    [`Degraded`](ServeOutcome::Degraded) with an admissible lower bound
-//!    and are *never* cached.
-//!
-//! Responses carry the plan relabelled into the tenant's own service ids.
+//! * requests are keyed by their [`PlanKey`]; the permutation collapse
+//!   engages only when the solve path is provably label-invariant
+//!   ([`permutation_collapse_allowed`]), so an
+//!   [`Exact`](ServeOutcome::Exact) value is always bit-identical to a
+//!   cold solve of the tenant's own application;
+//! * store hits ([`ServeSource::Store`]) are always `Exact` — the store
+//!   only ever holds exhaustive plans;
+//! * the first request of each missing key leads its cold solve
+//!   ([`ServeSource::Cold`]); later ones follow it ([`ServeSource::Dedup`])
+//!   and share its outcome — a failure included, so nobody hangs on a
+//!   panicked leader;
+//! * leaders pass the quarantine and the admission policy
+//!   ([`crate::admission`]) before any enumeration, solve under their own
+//!   deadline inside `catch_unwind`, and settle in leader order:
+//!   exhaustive results enter the store, interrupted ones come back
+//!   [`Degraded`](ServeOutcome::Degraded) with an admissible lower bound
+//!   and are *never* cached, panics are quarantined.
 //!
 //! For robustness testing, [`PlanService::with_fault_injection`] installs a
 //! deterministic fault hook keyed by **request ordinal** (arrival order
@@ -45,18 +34,20 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fsw_core::{
     AppFingerprint, Application, CanonicalApplication, CommModel, CoreResult, ExecutionGraph,
 };
+use fsw_obs::{MetricsRegistry, SpanTimer};
 use fsw_sched::engine::EvalCache;
 use fsw_sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
 use fsw_sched::par::par_chunks;
 
 use crate::admission::{AdmissionDecision, AdmissionPolicy, CostEstimate};
+use crate::stats::{Counters, ServeStats, ServiceStats};
 use crate::store::{PlanKey, PlanStore, StoredPlan};
 
 /// One tenant request: plan this application under this model/objective.
@@ -84,11 +75,11 @@ impl PlanRequest {
 /// Where a response came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeSource {
-    /// Solved cold in this batch (the leader of its fingerprint).
+    /// Solved cold (the leader of its fingerprint).
     Cold,
-    /// Answered from the plan store (an earlier batch solved it).
+    /// Answered from the plan store (an earlier solve produced it).
     Store,
-    /// Deduplicated in flight against a leader of the same batch.
+    /// Deduplicated in flight against the leader of the same key.
     Dedup,
 }
 
@@ -151,8 +142,13 @@ pub enum RejectReason {
 pub struct Rejection {
     /// Why the request got no plan.
     pub reason: RejectReason,
-    /// The cost estimate that rejected it (admission rejections only).
+    /// The cost estimate that rejected it (admission rejections and
+    /// sheds only).
     pub estimate: Option<CostEstimate>,
+    /// The solve this rejection came out of: `Cold` for a failed leader,
+    /// `Dedup` for a follower sharing its leader's failure, `None` when the
+    /// request was turned away before any solve.
+    pub source: Option<ServeSource>,
 }
 
 /// The service's answer to one [`PlanRequest`].
@@ -173,7 +169,8 @@ pub enum ServeOutcome {
         /// (`∞` when the floor is trivial).
         gap: f64,
     },
-    /// No plan: rejected by admission, quarantine, or a solver panic.
+    /// No plan: rejected by admission, quarantine, shedding, or a solver
+    /// failure.
     Rejected(Rejection),
 }
 
@@ -225,79 +222,6 @@ impl ServeOutcome {
             other => panic!("expected an exact outcome, got {other:?}"),
         }
     }
-}
-
-/// Lifetime counters of a [`PlanService`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Requests received.
-    pub requests: usize,
-    /// Cold solves performed (fingerprint leaders).
-    pub cold: usize,
-    /// Requests answered from the plan store.
-    pub store_hits: usize,
-    /// Requests deduplicated in flight against a same-batch leader.
-    pub dedup_hits: usize,
-    /// Leaders admitted into the degrade band (solved under a deadline).
-    pub deadline_admits: usize,
-    /// Degraded responses served (leaders and followers).
-    pub degraded: usize,
-    /// Requests rejected by the admission policy.
-    pub admission_rejects: usize,
-    /// Requests rejected by the quarantine (backoff or permanent).
-    pub quarantine_rejects: usize,
-    /// Solver panics caught (one per failed leader).
-    pub panics: usize,
-    /// Quarantined fingerprints that completed a retry successfully.
-    pub recovered: usize,
-}
-
-impl ServiceStats {
-    /// Fraction of requests served without a cold solve (store + dedup).
-    pub fn served_ratio(&self) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        (self.store_hits + self.dedup_hits) as f64 / self.requests as f64
-    }
-
-    /// Requests rejected for any reason (admission + quarantine; panic
-    /// rejections are counted by [`Self::panics`] per failed leader).
-    pub fn rejected(&self) -> usize {
-        self.admission_rejects + self.quarantine_rejects
-    }
-}
-
-/// One public snapshot of the whole serving tier: the request counters
-/// ([`ServiceStats`]), the store counters ([`crate::store::StoreStats`]),
-/// and the **quarantine occupancy** — how many fingerprints are currently
-/// held in backoff and how many are permanently banned.  Before this
-/// snapshot the quarantine and in-flight-dedup state were only observable
-/// indirectly (through which outcomes a replay produced); robustness
-/// harnesses assert on it directly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Request-path lifetime counters (includes `dedup_hits`, the
-    /// in-flight dedup counter, and `quarantine_rejects`).
-    pub service: ServiceStats,
-    /// Plan-store lifetime counters.
-    pub store: crate::store::StoreStats,
-    /// Fingerprints currently quarantined (in a backoff window or
-    /// permanent) — live occupancy, not a lifetime count.
-    pub quarantine_active: usize,
-    /// Fingerprints whose quarantine is permanent (failure budget spent).
-    pub quarantine_permanent: usize,
-    /// Shed-level **raises** over the tier's lifetime (each +1 step of the
-    /// async front end's backpressure controller).  `0` on the synchronous
-    /// batch path, which has no shed controller.
-    pub shed_raises: usize,
-    /// Shed-level **lowers** (each −1 recovery step of the controller).
-    /// `0` on the synchronous batch path.
-    pub shed_lowers: usize,
-    /// Requests cancelled because their deadline expired before dispatch
-    /// (async front end).  `0` on the synchronous batch path, which never
-    /// queues.
-    pub deadline_cancels: usize,
 }
 
 /// A deterministic fault injected into one cold solve (robustness
@@ -368,14 +292,16 @@ pub fn permutation_collapse_allowed(
 
 /// A request canonicalised and keyed, ready for the store.
 pub(crate) struct Prepared {
+    pub(crate) request: PlanRequest,
     pub(crate) canon: CanonicalApplication,
     pub(crate) key: PlanKey,
 }
 
 impl Prepared {
     /// Canonicalises and keys one request under `budget` (the collapse
-    /// gate engages only on provably label-invariant paths).
-    pub(crate) fn of(request: &PlanRequest, budget: &SearchBudget) -> Prepared {
+    /// gate engages only on provably label-invariant paths) — the one
+    /// keying function of the tier.
+    pub(crate) fn new(request: PlanRequest, budget: &SearchBudget) -> Prepared {
         let collapse =
             permutation_collapse_allowed(&request.app, request.model, request.objective, budget);
         let canon = CanonicalApplication::with_collapse(&request.app, collapse);
@@ -384,43 +310,56 @@ impl Prepared {
             model: request.model,
             objective: request.objective,
         };
-        Prepared { canon, key }
+        Prepared {
+            request,
+            canon,
+            key,
+        }
     }
 }
 
-/// How one request of a batch is answered.
-enum Assignment {
-    /// Answered from the store.
-    Hit(StoredPlan),
-    /// Leader of its key: `solved[slot]` is this request's cold solve.
-    Leader(usize),
-    /// Follower of the leader filling `solved[slot]` — outcomes included:
-    /// a follower of a panicked leader observes the same error.
-    Follower(usize),
-    /// Rejected before the pool (admission or quarantine).
-    Rejected(Rejection),
-}
-
-/// One admitted leader headed for the solve pool.
-struct LeaderTask {
-    /// Index of the leading request in the batch.
-    idx: usize,
-    /// The request's arrival ordinal (fault-injection key).
-    ordinal: u64,
-    /// Degrade deadline from the admission policy, if any.
-    time_limit: Option<Duration>,
+/// What admission granted a leader.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Admitted {
+    /// Degrade deadline armed on the solve, if any.
+    pub(crate) time_limit: Option<Duration>,
     /// Admissible value floor priced at admission, if any.
-    floor: Option<f64>,
+    pub(crate) floor: Option<f64>,
+    /// The estimated cost (`0` when an open policy skipped pricing).
+    pub(crate) cost: u128,
 }
 
-/// The service's cached observability handles: the shared registry plus
-/// the span timers the hot paths record through (resolved once at
-/// attachment, so serving never takes the registry lock).
-pub(crate) struct ServiceMetrics {
-    pub(crate) registry: Arc<fsw_obs::MetricsRegistry>,
+/// One admitted cold solve, ready for [`PlanService::execute`].
+pub(crate) struct Job {
+    pub(crate) prep: Arc<Prepared>,
+    /// The leader's arrival ordinal (the fault-injection key).
+    pub(crate) ordinal: u64,
+    pub(crate) admitted: Admitted,
+    /// The fingerprint's retained evaluation cache.
+    cache: Arc<EvalCache>,
+    /// A worker stall injected by the async front end: it replaces the
+    /// service's own fault for this solve.
+    pub(crate) stall: Option<Duration>,
+}
+
+/// A finished cold solve, with the floor its degraded responses quote.
+#[derive(Clone, Debug)]
+pub(crate) struct Solved {
+    pub(crate) plan: StoredPlan,
+    pub(crate) floor: Option<f64>,
+}
+
+/// How a door's cold solve ended: the plan, or why it failed
+/// ([`RejectReason::SolverPanic`] or [`RejectReason::WorkerStall`]).
+pub(crate) type SolveResult = Result<Solved, RejectReason>;
+
+/// The service's observability handles when a registry is attached: the
+/// registry itself (threaded down every cold solve) and the pricing span.
+struct ServiceMetrics {
+    registry: Arc<MetricsRegistry>,
     /// `admission.decide` — exact count of pricing decisions, durations
     /// sampled 1-in-[`fsw_obs::span::SAMPLE_EVERY`] (per-request path).
-    pub(crate) admission: fsw_obs::SpanTimer,
+    admission: SpanTimer,
 }
 
 /// How many solver panics a fingerprint may accumulate before its
@@ -442,7 +381,7 @@ struct QuarantineState {
 /// [`QUARANTINE_MAX_FAILURES`] the fingerprint is rejected permanently.  A
 /// successful retry clears the entry.  Time is counted in **requests**,
 /// not wall clock, so replays are deterministic.
-pub(crate) struct Quarantine {
+struct Quarantine {
     entries: Mutex<HashMap<PlanKey, QuarantineState>>,
 }
 
@@ -456,7 +395,7 @@ impl Quarantine {
     /// Gate one arriving request for `key`: `Ok` to attempt a solve,
     /// `Err(permanent)` to reject.  Each rejected request drains one tick
     /// of the backoff window.
-    pub(crate) fn admit(&self, key: &PlanKey) -> Result<(), bool> {
+    fn admit(&self, key: &PlanKey) -> Result<(), bool> {
         let mut entries = self.entries.lock().expect("quarantine mutex poisoned");
         match entries.get_mut(key) {
             None => Ok(()),
@@ -470,7 +409,7 @@ impl Quarantine {
     }
 
     /// Records a solver panic (or stall) for `key`.
-    pub(crate) fn record_failure(&self, key: &PlanKey) {
+    fn record_failure(&self, key: &PlanKey) {
         let mut entries = self.entries.lock().expect("quarantine mutex poisoned");
         let state = entries.entry(key.clone()).or_default();
         state.failures += 1;
@@ -481,7 +420,7 @@ impl Quarantine {
 
     /// Records a completed solve; returns `true` when the key had a
     /// quarantine entry to clear (a recovery).
-    pub(crate) fn record_success(&self, key: &PlanKey) -> bool {
+    fn record_success(&self, key: &PlanKey) -> bool {
         self.entries
             .lock()
             .expect("quarantine mutex poisoned")
@@ -491,7 +430,7 @@ impl Quarantine {
 
     /// `(active, permanent)` occupancy: fingerprints currently held (in
     /// backoff or banned), and the banned subset.
-    pub(crate) fn counts(&self) -> (usize, usize) {
+    fn counts(&self) -> (usize, usize) {
         let entries = self.entries.lock().expect("quarantine mutex poisoned");
         let permanent = entries
             .values()
@@ -502,12 +441,13 @@ impl Quarantine {
 }
 
 /// The multi-tenant planning service: one plan store, one search budget,
-/// one admission policy (see the module docs for the batch lifecycle).
+/// one admission policy, one set of counters (see the module docs for the
+/// pipeline).
 pub struct PlanService {
     budget: SearchBudget,
     admission: AdmissionPolicy,
     store: PlanStore,
-    /// Evaluation caches **retained across batches**, one per canonical
+    /// Evaluation caches **retained across solves**, one per canonical
     /// application fingerprint: a fingerprint that falls out of the plan
     /// store (capacity eviction) and comes back cold re-solves against its
     /// previously memoised ordering searches instead of recomputing every
@@ -522,49 +462,36 @@ pub struct PlanService {
     /// recomputation, never correctness).
     cache_capacity: usize,
     quarantine: Quarantine,
-    /// Observability registry plus pre-resolved span timers, when attached
+    counters: Counters,
+    /// Observability registry plus the pricing span, when attached
     /// ([`Self::with_metrics`]).
     metrics: Option<ServiceMetrics>,
     /// Deterministic fault hook keyed by request ordinal (tests/harness).
     fault_hook: Option<Box<dyn Fn(u64) -> Option<InjectedFault> + Send + Sync>>,
-    /// Requests received; doubles as the arrival-ordinal counter.
+    /// The arrival-ordinal sequence: the next request's ordinal, hence
+    /// the number of requests received through either door.
     requests: AtomicU64,
-    cold: AtomicUsize,
-    store_hits: AtomicUsize,
-    dedup_hits: AtomicUsize,
-    deadline_admits: AtomicUsize,
-    degraded: AtomicUsize,
-    admission_rejects: AtomicUsize,
-    quarantine_rejects: AtomicUsize,
-    panics: AtomicUsize,
-    recovered: AtomicUsize,
 }
 
 impl PlanService {
     /// A service answering under `budget`, caching at most `store_capacity`
     /// plans (and retaining at most `store_capacity` per-fingerprint
     /// evaluation caches), gated by the hardened default admission policy
-    /// ([`AdmissionPolicy::for_budget`]).
+    /// ([`AdmissionPolicy::for_budget`]).  Its counters live in a private
+    /// registry until [`with_metrics`](Self::with_metrics) attaches one.
     pub fn new(budget: SearchBudget, store_capacity: usize) -> Self {
+        let registry = MetricsRegistry::new();
         PlanService {
             admission: AdmissionPolicy::for_budget(&budget),
             budget,
-            store: PlanStore::new(store_capacity),
+            store: PlanStore::in_registry(store_capacity, &registry),
             caches: Mutex::new(HashMap::new()),
             cache_capacity: store_capacity.max(1),
             quarantine: Quarantine::new(),
+            counters: Counters::new(&registry),
             metrics: None,
             fault_hook: None,
             requests: AtomicU64::new(0),
-            cold: AtomicUsize::new(0),
-            store_hits: AtomicUsize::new(0),
-            dedup_hits: AtomicUsize::new(0),
-            deadline_admits: AtomicUsize::new(0),
-            degraded: AtomicUsize::new(0),
-            admission_rejects: AtomicUsize::new(0),
-            quarantine_rejects: AtomicUsize::new(0),
-            panics: AtomicUsize::new(0),
-            recovered: AtomicUsize::new(0),
         }
     }
 
@@ -575,14 +502,19 @@ impl PlanService {
         self
     }
 
-    /// Attaches an observability registry: admission pricing records an
-    /// `admission.decide` span, the plan store mirrors its hit/miss/evict
-    /// counters (`store.*`), every cold solve records a `serve.cold_solve`
-    /// span and threads the registry down the solve pipeline (engine
-    /// stream/expand/certify stages).  All instruments are pure
-    /// observability — no served value or decision depends on them.
-    pub fn with_metrics(mut self, registry: Arc<fsw_obs::MetricsRegistry>) -> Self {
-        self.store.attach_metrics(&registry);
+    /// Attaches an observability registry, before serving: the tier's
+    /// counters (`serve.*`, `frontend.*`, `store.*`) move into it,
+    /// admission pricing records an `admission.decide` span, every cold
+    /// solve records a `serve.cold_solve` span and threads the registry
+    /// down the solve pipeline (engine stream/expand/certify stages), and
+    /// a front end over this service adds its tick spans, latency
+    /// histogram and tenant sketches.  All instruments are pure
+    /// observability — no served value or decision depends on them.  The
+    /// stats views read the registry's counters, so services sharing one
+    /// registry share their counts.
+    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        self.store = PlanStore::in_registry(self.store.capacity(), &registry);
+        self.counters = Counters::new(&registry);
         self.metrics = Some(ServiceMetrics {
             admission: registry.span("admission.decide"),
             registry,
@@ -591,7 +523,7 @@ impl PlanService {
     }
 
     /// The attached observability registry, if any.
-    pub fn metrics_registry(&self) -> Option<&Arc<fsw_obs::MetricsRegistry>> {
+    pub fn metrics_registry(&self) -> Option<&Arc<MetricsRegistry>> {
         self.metrics.as_ref().map(|m| &m.registry)
     }
 
@@ -613,17 +545,11 @@ impl PlanService {
     /// fingerprint resolves to, `None` when no cold solve has created one
     /// yet.  Tests assert cache retention across batches with this.
     pub fn eval_cache_stats(&self, request: &PlanRequest) -> Option<(usize, usize)> {
-        let collapse = permutation_collapse_allowed(
-            &request.app,
-            request.model,
-            request.objective,
-            &self.budget,
-        );
-        let canon = CanonicalApplication::with_collapse(&request.app, collapse);
+        let prep = Prepared::new(request.clone(), &self.budget);
         self.caches
             .lock()
             .expect("cache mutex poisoned")
-            .get(&canon.fingerprint)
+            .get(&prep.key.fingerprint)
             .map(|cache| cache.stats())
     }
 
@@ -642,33 +568,32 @@ impl PlanService {
         &self.store
     }
 
+    /// Lifetime request counters, over both doors.
+    pub fn stats(&self) -> ServiceStats {
+        self.counters.service(self.requests.load(Ordering::Relaxed))
+    }
+
     /// One public snapshot of the whole tier: request counters, store
-    /// counters, and quarantine occupancy (see [`ServeStats`]).
+    /// counters, quarantine occupancy and the async-only totals (see
+    /// [`ServeStats`]).
     pub fn serve_stats(&self) -> ServeStats {
         let (quarantine_active, quarantine_permanent) = self.quarantine.counts();
+        let c = &self.counters;
         ServeStats {
             service: self.stats(),
             store: self.store.stats(),
             quarantine_active,
             quarantine_permanent,
-            // The batch path has no shed controller and never queues, so
-            // the async-only counters are structurally zero here; the
-            // async front end's `serve_stats` fills them in.
-            shed_raises: 0,
-            shed_lowers: 0,
-            deadline_cancels: 0,
+            shed_raises: c.shed_raises.get() as usize,
+            shed_lowers: c.shed_lowers.get() as usize,
+            deadline_cancels: c.deadline_cancels.get() as usize,
         }
     }
 
-    /// The shared panic quarantine (the async front end gates through the
-    /// same state machine as the batch path).
-    pub(crate) fn quarantine(&self) -> &Quarantine {
-        &self.quarantine
-    }
-
-    /// Applies the installed fault hook to one request ordinal.
-    pub(crate) fn injected_fault(&self, ordinal: u64) -> Option<InjectedFault> {
-        self.fault_hook.as_ref().and_then(|hook| hook(ordinal))
+    /// The tier's counters (the async front end counts its own stages
+    /// into the same set).
+    pub(crate) fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     /// Claims the next `n` arrival ordinals (and counts the requests).
@@ -676,45 +601,216 @@ impl PlanService {
         self.requests.fetch_add(n, Ordering::Relaxed)
     }
 
+    /// Stage **admit**: the quarantine gate, then admission pricing at
+    /// `shed_level` (see [`AdmissionPolicy::decide_at`]).  Rejections come
+    /// back ready to emit; the caller counts them with the outcome.
+    pub(crate) fn admit(&self, prep: &Prepared, shed_level: u32) -> Result<Admitted, Rejection> {
+        let reject = |reason, estimate| Rejection {
+            reason,
+            estimate,
+            source: None,
+        };
+        if let Err(permanent) = self.quarantine.admit(&prep.key) {
+            return Err(reject(RejectReason::Quarantined { permanent }, None));
+        }
+        let request = &prep.request;
+        let (decision, cost) = {
+            let _pricing = self
+                .metrics
+                .as_ref()
+                .and_then(|m| m.admission.start_sampled());
+            self.admission.priced(
+                &request.app,
+                request.model,
+                request.objective,
+                &self.budget,
+                shed_level,
+            )
+        };
+        match decision {
+            AdmissionDecision::Admit => Ok(Admitted {
+                time_limit: None,
+                floor: None,
+                cost,
+            }),
+            AdmissionDecision::AdmitWithDeadline {
+                time_limit,
+                estimate,
+            } => {
+                self.counters.deadline_admits.inc();
+                Ok(Admitted {
+                    time_limit: Some(time_limit),
+                    floor: estimate.value_floor,
+                    cost,
+                })
+            }
+            AdmissionDecision::Shed { level, estimate } => {
+                Err(reject(RejectReason::Shed { level }, Some(estimate)))
+            }
+            AdmissionDecision::Reject { estimate } => {
+                Err(reject(RejectReason::AdmissionCost, Some(estimate)))
+            }
+        }
+    }
+
+    /// Turns an admitted leader into a cold-solve job (and counts the cold
+    /// solve), attaching its fingerprint's retained evaluation cache.
+    pub(crate) fn job(&self, prep: Arc<Prepared>, ordinal: u64, admitted: Admitted) -> Job {
+        self.counters.cold.inc();
+        Job {
+            cache: self.retained_cache(&prep.canon),
+            prep,
+            ordinal,
+            admitted,
+            stall: None,
+        }
+    }
+
+    /// Stage **execute**: one cold solve, everything between dispatch and
+    /// result — the serial solve budget with the admission deadline folded
+    /// in, the injected fault (the only place faults are applied), and
+    /// `catch_unwind` around the solve.  A non-exhaustive result admitted
+    /// without a priced floor gets one certified here, once per solve, so
+    /// the leader and its followers quote the same floor.
+    pub(crate) fn execute(&self, job: &Job) -> SolveResult {
+        let mut budget = SearchBudget {
+            threads: 1,
+            ..self.budget
+        };
+        if let Some(limit) = job.admitted.time_limit {
+            budget.time_limit = Some(budget.time_limit.map_or(limit, |own| own.min(limit)));
+        }
+        let mut fault = self.fault_hook.as_ref().and_then(|hook| hook(job.ordinal));
+        if fault == Some(InjectedFault::DeadlineBlowout) {
+            budget.time_limit = Some(Duration::ZERO);
+        }
+        if let Some(stall) = job.stall {
+            // A stall is a slowdown from the solver's point of view; the
+            // front end's watchdog is what turns it into a WorkerStall.
+            fault = Some(InjectedFault::Slow(stall));
+        }
+        catch_unwind(AssertUnwindSafe(|| {
+            match fault {
+                Some(InjectedFault::Panic) => {
+                    panic!("injected solver panic (request ordinal {})", job.ordinal)
+                }
+                Some(InjectedFault::Slow(stall)) => std::thread::sleep(stall),
+                _ => {}
+            }
+            let plan = cold_solve(&job.prep, &budget, &job.cache, self.metrics_registry());
+            let floor = match job.admitted.floor {
+                None if !plan.exhaustive => {
+                    let r = &job.prep.request;
+                    self.admission
+                        .certified_floor(&r.app, r.model, r.objective, &self.budget)
+                }
+                floor => floor,
+            };
+            Solved { plan, floor }
+        }))
+        .map_err(|payload| RejectReason::SolverPanic {
+            message: panic_message(payload),
+        })
+    }
+
+    /// Stage **settle**: the bookkeeping of one finished solve, applied in
+    /// leader order by both doors (deterministic store and quarantine
+    /// contents).  Only **exhaustive** plans enter the store; a degraded
+    /// attempt records its cost instead; failures are quarantined and
+    /// their retained caches dropped (the unwound solve may have left cache
+    /// internals poisoned).
+    pub(crate) fn settle(&self, key: &PlanKey, result: &SolveResult) {
+        match result {
+            Ok(solved) => {
+                if self.quarantine.record_success(key) {
+                    self.counters.recovered.inc();
+                }
+                if solved.plan.exhaustive {
+                    self.store.insert(key.clone(), solved.plan.clone());
+                } else {
+                    // A degraded attempt burnt real wall time but stores
+                    // nothing: remember the cost, so the eventual exact
+                    // re-solve's eviction weight reflects the *full*
+                    // recomputation price (degraded-then-exact upgrade).
+                    self.store
+                        .record_attempt_cost(key, solved.plan.solve_micros);
+                }
+            }
+            Err(reason) => {
+                match reason {
+                    RejectReason::WorkerStall => self.counters.stalls.inc(),
+                    _ => self.counters.panics.inc(),
+                }
+                self.quarantine.record_failure(key);
+                self.drop_cache(&key.fingerprint);
+            }
+        }
+    }
+
+    /// Stage **respond**: one request's answer from the solve (or store
+    /// hit) it rode — the plan relabelled into the tenant's ids, `Exact`
+    /// or `Degraded` with the floor's gap (the one place the gap is
+    /// computed), or the solve's failure.
+    pub(crate) fn respond(
+        &self,
+        prep: &Prepared,
+        result: &SolveResult,
+        source: ServeSource,
+    ) -> ServeOutcome {
+        let Solved { plan, floor } = match result {
+            Ok(solved) => solved,
+            Err(reason) => {
+                return ServeOutcome::Rejected(Rejection {
+                    reason: reason.clone(),
+                    estimate: None,
+                    source: Some(source),
+                })
+            }
+        };
+        let response = PlanResponse {
+            value: plan.value,
+            graph: prep
+                .canon
+                .graph_to_tenant(&plan.graph)
+                .expect("canonical plans relabel cleanly"),
+            exhaustive: plan.exhaustive,
+            source,
+            solve_micros: plan.solve_micros,
+        };
+        if response.exhaustive {
+            return ServeOutcome::Exact(response);
+        }
+        let lower_bound = floor.unwrap_or(0.0);
+        let gap = if lower_bound > 0.0 {
+            (response.value - lower_bound) / lower_bound
+        } else {
+            f64::INFINITY
+        };
+        ServeOutcome::Degraded {
+            response,
+            lower_bound,
+            gap,
+        }
+    }
+
     /// The retained evaluation cache for `canon`'s fingerprint, creating
     /// it (and bounding the retention map) when absent.
-    pub(crate) fn retained_cache(&self, canon: &CanonicalApplication) -> Arc<EvalCache> {
+    fn retained_cache(&self, canon: &CanonicalApplication) -> Arc<EvalCache> {
         let mut retained = self.caches.lock().expect("cache mutex poisoned");
-        if !retained.contains_key(&canon.fingerprint) {
-            if retained.len() >= self.cache_capacity {
-                retained.clear();
-            }
-            retained.insert(
-                canon.fingerprint.clone(),
-                Arc::new(EvalCache::new(&canon.app)),
-            );
+        if !retained.contains_key(&canon.fingerprint) && retained.len() >= self.cache_capacity {
+            retained.clear();
         }
-        retained[&canon.fingerprint].clone()
+        let cache = retained.entry(canon.fingerprint.clone());
+        Arc::clone(cache.or_insert_with(|| Arc::new(EvalCache::new(&canon.app))))
     }
 
     /// Drops the retained cache of a fingerprint whose solve panicked or
     /// stalled (its internals may be poisoned mid-unwind).
-    pub(crate) fn drop_cache(&self, fingerprint: &AppFingerprint) {
+    fn drop_cache(&self, fingerprint: &AppFingerprint) {
         self.caches
             .lock()
             .expect("cache mutex poisoned")
             .remove(fingerprint);
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            requests: self.requests.load(Ordering::Relaxed) as usize,
-            cold: self.cold.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            deadline_admits: self.deadline_admits.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            admission_rejects: self.admission_rejects.load(Ordering::Relaxed),
-            quarantine_rejects: self.quarantine_rejects.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            recovered: self.recovered.load(Ordering::Relaxed),
-        }
     }
 
     /// Serves one request (a batch of one).
@@ -725,9 +821,9 @@ impl PlanService {
             .expect("one request, one response"))
     }
 
-    /// Serves a batch: store lookups, quarantine + admission gates,
-    /// in-flight dedup, cold solves on the worker pool (see the module
-    /// docs).  Outcomes come back in request order; every
+    /// The synchronous front door: serves a batch through the stages of
+    /// the module docs, the batch's cold solves fanned out over the
+    /// `fsw_sched::par` pool.  Outcomes come back in request order; every
     /// [`Exact`](ServeOutcome::Exact) value is bit-identical to a cold
     /// solve of the tenant's own application under the service's budget.
     ///
@@ -737,279 +833,89 @@ impl PlanService {
     /// the fingerprint store with a garbage plan other tenants could then
     /// be served.
     pub fn serve_batch(&self, requests: &[PlanRequest]) -> CoreResult<Vec<ServeOutcome>> {
+        /// How one request of the batch is answered.
+        enum Route {
+            Hit(StoredPlan),
+            /// Leader of `jobs[slot]`.
+            Leads(usize),
+            /// Follower of `jobs[slot]`.
+            Joins(usize),
+            Rejected(Rejection),
+        }
         for request in requests {
             request.app.validate()?;
         }
-        let base_ordinal = self
-            .requests
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        // 1. Canonicalise and key.
-        let prepared: Vec<Prepared> = requests
+        let base_ordinal = self.next_ordinals(requests.len() as u64);
+        let prepared: Vec<Arc<Prepared>> = requests
             .iter()
-            .map(|r| Prepared::of(r, &self.budget))
+            .map(|r| Arc::new(Prepared::new(r.clone(), &self.budget)))
             .collect();
-        // 2. + 3. + 4. Store lookups, quarantine + admission gates, and
-        // in-flight dedup (leader per missing admitted key).  Same-batch
-        // twins of a rejected key share the verdict without re-pricing or
-        // draining extra quarantine ticks.
-        let mut assignments: Vec<Assignment> = Vec::with_capacity(requests.len());
-        let mut leaders: Vec<LeaderTask> = Vec::new();
+        // In-flight dedup first (a batch-local leader map), then the
+        // store, then admission.  Same-batch twins of a rejected key share
+        // the verdict without re-pricing or draining extra quarantine
+        // ticks.
+        let mut routes = Vec::with_capacity(requests.len());
+        let mut jobs: Vec<Job> = Vec::new();
         let mut in_flight: HashMap<&PlanKey, usize> = HashMap::new();
-        let mut rejected_keys: HashMap<&PlanKey, Rejection> = HashMap::new();
+        let mut rejected: HashMap<&PlanKey, Rejection> = HashMap::new();
         for (idx, prep) in prepared.iter().enumerate() {
-            if let Some(slot) = in_flight.get(&prep.key) {
-                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                assignments.push(Assignment::Follower(*slot));
-                continue;
-            }
-            if let Some(rejection) = rejected_keys.get(&prep.key) {
-                self.count_rejection(&rejection.reason);
-                assignments.push(Assignment::Rejected(rejection.clone()));
-                continue;
-            }
-            if let Some(plan) = self.store.get(&prep.key) {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                assignments.push(Assignment::Hit(plan));
-                continue;
-            }
-            if let Err(permanent) = self.quarantine.admit(&prep.key) {
-                let rejection = Rejection {
-                    reason: RejectReason::Quarantined { permanent },
-                    estimate: None,
-                };
-                self.count_rejection(&rejection.reason);
-                rejected_keys.insert(&prep.key, rejection.clone());
-                assignments.push(Assignment::Rejected(rejection));
-                continue;
-            }
-            let request = &requests[idx];
-            let decision = {
-                let _pricing = self
-                    .metrics
-                    .as_ref()
-                    .and_then(|m| m.admission.start_sampled());
-                self.admission
-                    .decide(&request.app, request.model, request.objective, &self.budget)
-            };
-            let (time_limit, floor) = match decision {
-                AdmissionDecision::Admit => (None, None),
-                AdmissionDecision::AdmitWithDeadline {
-                    time_limit,
-                    estimate,
-                } => {
-                    self.deadline_admits.fetch_add(1, Ordering::Relaxed);
-                    (Some(time_limit), estimate.value_floor)
-                }
-                AdmissionDecision::Reject { estimate } => {
-                    let rejection = Rejection {
-                        reason: RejectReason::AdmissionCost,
-                        estimate: Some(estimate),
-                    };
-                    self.count_rejection(&rejection.reason);
-                    rejected_keys.insert(&prep.key, rejection.clone());
-                    assignments.push(Assignment::Rejected(rejection));
-                    continue;
+            let route = if let Some(&slot) = in_flight.get(&prep.key) {
+                Route::Joins(slot)
+            } else if let Some(rejection) = rejected.get(&prep.key) {
+                Route::Rejected(rejection.clone())
+            } else if let Some(plan) = self.store.get(&prep.key) {
+                Route::Hit(plan)
+            } else {
+                match self.admit(prep, 0) {
+                    Ok(admitted) => {
+                        in_flight.insert(&prep.key, jobs.len());
+                        let ordinal = base_ordinal + idx as u64;
+                        jobs.push(self.job(Arc::clone(prep), ordinal, admitted));
+                        Route::Leads(jobs.len() - 1)
+                    }
+                    Err(rejection) => {
+                        rejected.insert(&prep.key, rejection.clone());
+                        Route::Rejected(rejection)
+                    }
                 }
             };
-            let slot = leaders.len();
-            leaders.push(LeaderTask {
-                idx,
-                ordinal: base_ordinal + idx as u64,
-                time_limit,
-                floor,
-            });
-            in_flight.insert(&prep.key, slot);
-            self.cold.fetch_add(1, Ordering::Relaxed);
-            assignments.push(Assignment::Leader(slot));
+            routes.push(route);
         }
-        // 5. Drain the leaders onto the pool.  Each cold solve runs serial
-        // inside (the fan-out is across requests) under its own deadline,
-        // wrapped in `catch_unwind` so one panicking solve cannot take the
-        // batch (or the process) down with it.
+        // Each cold solve runs serial inside (the fan-out is across
+        // requests).
         let threads = match self.budget.threads {
             0 => std::thread::available_parallelism().map_or(1, |t| t.get()),
             t => t,
         };
-        // One evaluation cache per distinct fingerprint, **retained across
-        // batches**: the fingerprint determines the canonical application,
-        // so leaders of the same application — in this batch under other
-        // models/objectives, or in a later batch after the plan store
-        // evicted the fingerprint — share the memoised ordering searches,
-        // exactly like `solve_all`'s per-app sweep.  (`EvalCache` is `Sync`;
-        // the workers only read their `Arc`s.)
-        let caches: Vec<Arc<EvalCache>> = leaders
-            .iter()
-            .map(|task| self.retained_cache(&prepared[task.idx].canon))
-            .collect();
-        let solved: Vec<Result<StoredPlan, String>> =
-            par_chunks(threads, &leaders, |base, chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(offset, task)| {
-                        let cache = &caches[base + offset];
-                        let fault = self.fault_hook.as_ref().and_then(|hook| hook(task.ordinal));
-                        let mut inner = SearchBudget {
-                            threads: 1,
-                            ..self.budget
-                        };
-                        if let Some(limit) = task.time_limit {
-                            inner.time_limit =
-                                Some(inner.time_limit.map_or(limit, |own| own.min(limit)));
-                        }
-                        if fault == Some(InjectedFault::DeadlineBlowout) {
-                            inner.time_limit = Some(Duration::ZERO);
-                        }
-                        catch_unwind(AssertUnwindSafe(|| {
-                            match fault {
-                                Some(InjectedFault::Panic) => {
-                                    panic!(
-                                        "injected solver panic (request ordinal {})",
-                                        task.ordinal
-                                    )
-                                }
-                                Some(InjectedFault::Slow(stall)) => std::thread::sleep(stall),
-                                _ => {}
-                            }
-                            cold_solve(
-                                &prepared[task.idx],
-                                requests[task.idx].model,
-                                &inner,
-                                cache,
-                                self.metrics_registry(),
-                            )
-                        }))
-                        .map_err(panic_message)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        // Bookkeeping in leader order (deterministic store and quarantine
-        // contents): only **exhaustive** plans enter the store; failures
-        // are quarantined and their retained caches dropped (the unwound
-        // solve may have left cache internals poisoned).
-        for (slot, task) in leaders.iter().enumerate() {
-            let key = &prepared[task.idx].key;
-            match &solved[slot] {
-                Ok(plan) => {
-                    if self.quarantine.record_success(key) {
-                        self.recovered.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if plan.exhaustive {
-                        self.store.insert(key.clone(), plan.clone());
-                    } else {
-                        // A degraded attempt burnt real wall time but stores
-                        // nothing: remember the cost, so the eventual exact
-                        // re-solve's eviction weight reflects the *full*
-                        // recomputation price (degraded-then-exact upgrade).
-                        self.store.record_attempt_cost(key, plan.solve_micros);
-                    }
-                }
-                Err(_) => {
-                    self.panics.fetch_add(1, Ordering::Relaxed);
-                    self.quarantine.record_failure(key);
-                    self.drop_cache(&key.fingerprint);
-                }
-            }
+        let solved: Vec<SolveResult> = par_chunks(threads, &jobs, |_, chunk| {
+            chunk
+                .iter()
+                .map(|job| self.execute(job))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        for (job, result) in jobs.iter().zip(&solved) {
+            self.settle(&job.prep.key, result);
         }
-        // Degraded leaders that were admitted without a priced floor (the
-        // plain-admit band, or an open policy) get one certified now — the
-        // degraded path is the slow path, so the bounded pricing pass is
-        // affordable here.
-        let floors: Vec<Option<f64>> = leaders
-            .iter()
-            .enumerate()
-            .map(|(slot, task)| {
-                if task.floor.is_some() {
-                    return task.floor;
-                }
-                match &solved[slot] {
-                    Ok(plan) if !plan.exhaustive => {
-                        let r = &requests[task.idx];
-                        self.admission
-                            .certified_floor(&r.app, r.model, r.objective, &self.budget)
-                    }
-                    _ => None,
-                }
-            })
-            .collect();
-        // Fan the answers back out, relabelled per tenant.
-        Ok(assignments
+        Ok(routes
             .into_iter()
-            .enumerate()
-            .map(|(idx, assignment)| {
-                let (plan, source, floor) = match assignment {
-                    Assignment::Rejected(rejection) => return ServeOutcome::Rejected(rejection),
-                    Assignment::Hit(plan) => (plan, ServeSource::Store, None),
-                    Assignment::Leader(slot) => match &solved[slot] {
-                        Ok(plan) => (plan.clone(), ServeSource::Cold, floors[slot]),
-                        Err(message) => {
-                            return ServeOutcome::Rejected(Rejection {
-                                reason: RejectReason::SolverPanic {
-                                    message: message.clone(),
-                                },
-                                estimate: None,
-                            })
-                        }
-                    },
-                    Assignment::Follower(slot) => match &solved[slot] {
-                        Ok(plan) => (plan.clone(), ServeSource::Dedup, floors[slot]),
-                        Err(message) => {
-                            return ServeOutcome::Rejected(Rejection {
-                                reason: RejectReason::SolverPanic {
-                                    message: message.clone(),
-                                },
-                                estimate: None,
-                            })
-                        }
-                    },
-                };
-                let graph = prepared[idx]
-                    .canon
-                    .graph_to_tenant(&plan.graph)
-                    .expect("canonical plans relabel cleanly");
-                let response = PlanResponse {
-                    value: plan.value,
-                    graph,
-                    exhaustive: plan.exhaustive,
-                    source,
-                    solve_micros: plan.solve_micros,
-                };
-                if response.exhaustive {
-                    ServeOutcome::Exact(response)
-                } else {
-                    self.degraded.fetch_add(1, Ordering::Relaxed);
-                    let lower_bound = floor.unwrap_or(0.0);
-                    let gap = if lower_bound > 0.0 {
-                        (response.value - lower_bound) / lower_bound
-                    } else {
-                        f64::INFINITY
-                    };
-                    ServeOutcome::Degraded {
-                        response,
-                        lower_bound,
-                        gap,
+            .zip(&prepared)
+            .map(|(route, prep)| {
+                let outcome = match route {
+                    Route::Rejected(rejection) => ServeOutcome::Rejected(rejection),
+                    Route::Hit(plan) => {
+                        let hit = Ok(Solved { plan, floor: None });
+                        self.respond(prep, &hit, ServeSource::Store)
                     }
-                }
+                    Route::Leads(slot) => self.respond(prep, &solved[slot], ServeSource::Cold),
+                    Route::Joins(slot) => self.respond(prep, &solved[slot], ServeSource::Dedup),
+                };
+                self.counters.record(&outcome);
+                outcome
             })
             .collect())
-    }
-
-    fn count_rejection(&self, reason: &RejectReason) {
-        match reason {
-            RejectReason::AdmissionCost => {
-                self.admission_rejects.fetch_add(1, Ordering::Relaxed);
-            }
-            RejectReason::Quarantined { .. } => {
-                self.quarantine_rejects.fetch_add(1, Ordering::Relaxed);
-            }
-            // Panic rejections are counted per failed leader (`panics`);
-            // the remaining reasons are produced by the async front end,
-            // which keeps its own counters.
-            _ => {}
-        }
     }
 
     /// Publishes an externally solved plan (an online re-plan from a
@@ -1041,18 +947,13 @@ impl PlanService {
         if !exhaustive || *solved_under != self.budget {
             return false;
         }
-        let collapse = permutation_collapse_allowed(app, model, objective, &self.budget);
-        let canon = CanonicalApplication::with_collapse(app, collapse);
-        let Ok(canonical_graph) = canon.graph_to_canonical(graph) else {
+        let request = PlanRequest::new(app.clone(), model, objective);
+        let prep = Prepared::new(request, &self.budget);
+        let Ok(canonical_graph) = prep.canon.graph_to_canonical(graph) else {
             return false;
         };
-        let key = PlanKey {
-            fingerprint: canon.fingerprint.clone(),
-            model,
-            objective,
-        };
         self.store.insert(
-            key,
+            prep.key,
             StoredPlan {
                 value,
                 graph: canonical_graph,
@@ -1068,14 +969,13 @@ impl PlanService {
 /// When a registry is attached it records a `serve.cold_solve` span and is
 /// threaded down the solve pipeline (`solve.search`/`solve.orchestrate`
 /// spans, engine stream/expand/certify stages).
-pub(crate) fn cold_solve(
+fn cold_solve(
     prep: &Prepared,
-    model: CommModel,
     budget: &SearchBudget,
     cache: &EvalCache,
-    metrics: Option<&Arc<fsw_obs::MetricsRegistry>>,
+    metrics: Option<&Arc<MetricsRegistry>>,
 ) -> StoredPlan {
-    let problem = Problem::new(&prep.canon.app, model, prep.key.objective);
+    let problem = Problem::new(&prep.canon.app, prep.key.model, prep.key.objective);
     let started = Instant::now();
     let span = metrics.map(|r| r.span("serve.cold_solve"));
     let guard = span.as_ref().map(|t| t.start());
@@ -1093,7 +993,7 @@ pub(crate) fn cold_solve(
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
         (*message).to_string()
     } else if let Some(message) = payload.downcast_ref::<String>() {

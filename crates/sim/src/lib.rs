@@ -12,14 +12,14 @@
 //!   timeline (including multi-port bandwidth sharing) and reports the
 //!   achieved completion times.
 //! * [`replay_trace`] — replays a *serving trace* (tenants, requests and
-//!   service-set mutations arriving over time) through the `fsw_serve`
-//!   planning service, with optional shadow cold solves cross-validating
-//!   every served value bit-for-bit.
-//! * [`replay_trace_async`] — the same timeline through the event-loop
-//!   front end (`fsw_serve::AsyncFrontend`): bounded ingress queues,
-//!   adaptive backpressure, deadline cancellation and stall watchdogs,
-//!   with ordinal-keyed async faults (worker stalls, slow shards, ingress
-//!   bursts) and a worker-count-independent decision digest.
+//!   service-set mutations arriving over time) through either front door
+//!   of the `fsw_serve` planning service ([`Door`]): the synchronous batch
+//!   path with online re-plans, or the event-loop front end
+//!   (`fsw_serve::AsyncFrontend`) with bounded ingress queues, adaptive
+//!   backpressure, deadline cancellation and stall watchdogs.  Both doors
+//!   take the same ordinal-keyed [`FaultPlan`], report the same outcomes
+//!   and the same worker-count-independent digest, and can cross-validate
+//!   every served value bit-for-bit against shadow cold solves.
 //!
 //! ```
 //! use fsw_core::{Application, CommModel, ExecutionGraph};
@@ -36,19 +36,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod frontend_replay;
 pub mod measure;
 pub mod oneport;
 pub mod replay;
-pub mod serve_replay;
+pub mod trace_replay;
 
-pub use frontend_replay::{
-    replay_trace_async, AsyncDisposition, AsyncRequestOutcome, FrontendReplayConfig, FrontendReport,
-};
 pub use measure::SimReport;
 pub use oneport::simulate_inorder;
 pub use replay::replay_oplist;
-pub use serve_replay::{
-    replay_trace, Disposition, FaultPlan, RequestOutcome, RequestPath, ServeReplayConfig,
-    TraceReport,
+pub use trace_replay::{
+    replay_trace, DigestRow, Disposition, Door, FaultPlan, ReplayConfig, ReplayReport,
+    RequestOutcome, RequestPath,
 };

@@ -24,7 +24,7 @@ use fsw::serve::{
     AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService, RejectReason,
     ServeOutcome,
 };
-use fsw::sim::{replay_trace, FaultPlan, ServeReplayConfig};
+use fsw::sim::{replay_trace, FaultPlan, ReplayConfig};
 use fsw::workloads::streaming::{serving_trace, TraceConfig};
 use fsw::workloads::{random_application, RandomAppConfig};
 
@@ -89,10 +89,10 @@ fn faulted_replay_digests_are_thread_count_independent() {
         },
         &mut StdRng::seed_from_u64(0x0b08),
     );
-    let config_for = |threads: usize| ServeReplayConfig {
+    let config_for = |threads: usize| ReplayConfig {
         budget: SearchBudget::default().with_threads(threads),
         faults: FaultPlan::new().panic_at(0).blowout_at(5),
-        ..ServeReplayConfig::default()
+        ..ReplayConfig::default()
     };
     let reference = quietly(|| replay_trace(&trace, &config_for(1)).unwrap());
     assert_eq!(reference.requests(), trace.request_count(), "nothing hangs");

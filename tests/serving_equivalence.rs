@@ -8,6 +8,9 @@
 //!   strictly fewer in aggregate across a trace);
 //! * the plan store's eviction respects the solve-cost weighting;
 //! * a trace replay is deterministic across worker-thread counts;
+//! * the two front doors agree: a mutation-free trace replayed through the
+//!   batch path and through the async front end (no shedding, no
+//!   deadlines, 1 or 2 workers) resolves every request identically;
 //! * the per-fingerprint evaluation caches are **retained across cold
 //!   solves**: a fingerprint evicted from the plan store re-solves against
 //!   its memoised ordering searches, strictly cheaper than the first cold
@@ -19,9 +22,10 @@ use rand::SeedableRng;
 use fsw::core::{Application, CommModel};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::serve::{
-    PlanRequest, PlanService, PlanStore, ServeSource, StoredPlan, TenantEvent, TenantSession,
+    FrontendConfig, PlanRequest, PlanService, PlanStore, ServeSource, StoredPlan, TenantEvent,
+    TenantSession,
 };
-use fsw::sim::{replay_trace, RequestPath, ServeReplayConfig};
+use fsw::sim::{replay_trace, Disposition, Door, ReplayConfig, ReplayReport, RequestPath};
 use fsw::workloads::streaming::{serving_trace, TraceConfig};
 use fsw::workloads::{random_application, RandomAppConfig};
 
@@ -267,9 +271,9 @@ fn trace_replay_is_deterministic_across_thread_counts() {
     );
     let reference = replay_trace(
         &trace,
-        &ServeReplayConfig {
+        &ReplayConfig {
             budget: SearchBudget::default().with_threads(1),
-            ..ServeReplayConfig::default()
+            ..ReplayConfig::default()
         },
     )
     .unwrap();
@@ -277,9 +281,9 @@ fn trace_replay_is_deterministic_across_thread_counts() {
     for threads in [2, 4] {
         let other = replay_trace(
             &trace,
-            &ServeReplayConfig {
+            &ReplayConfig {
                 budget: SearchBudget::default().with_threads(threads),
-                ..ServeReplayConfig::default()
+                ..ReplayConfig::default()
             },
         )
         .unwrap();
@@ -312,9 +316,9 @@ fn warm_replans_never_evaluate_more_than_cold_and_save_in_aggregate() {
     );
     let report = replay_trace(
         &trace,
-        &ServeReplayConfig {
+        &ReplayConfig {
             verify: true,
-            ..ServeReplayConfig::default()
+            ..ReplayConfig::default()
         },
     )
     .unwrap();
@@ -342,4 +346,58 @@ fn warm_replans_never_evaluate_more_than_cold_and_save_in_aggregate() {
         warm < cold,
         "warm starts must prune in aggregate: warm {warm} vs cold {cold}"
     );
+}
+
+#[test]
+fn batch_and_async_doors_resolve_a_trace_identically() {
+    // Mutation-free, so the batch door never re-plans: every request of
+    // both doors goes through the service's stages, and the two doors may
+    // differ only in how they batch and wait — not in any outcome.
+    let trace = serving_trace(
+        &TraceConfig {
+            tenants: 12,
+            steps: 16,
+            templates: 3,
+            services_per_tenant: 5,
+            mutation_rate: 0.0,
+            requests_per_step: 4,
+            ..TraceConfig::default()
+        },
+        &mut StdRng::seed_from_u64(0x5e07),
+    );
+    let rows = |report: &ReplayReport| -> Vec<(Option<u64>, usize, Disposition, u64)> {
+        report
+            .outcomes
+            .iter()
+            .map(|o| (o.ordinal, o.tenant, o.disposition, o.value.to_bits()))
+            .collect()
+    };
+    let batch = replay_trace(&trace, &ReplayConfig::default()).unwrap();
+    assert_eq!(batch.requests(), trace.request_count());
+    assert_eq!(batch.replans(), 0, "a mutation-free trace never re-plans");
+    for workers in [1, 2] {
+        let door = Door::Async(FrontendConfig {
+            workers,
+            queue_capacity: trace.request_count(),
+            backlog_high: usize::MAX,
+            deadline_ticks: None,
+            ..FrontendConfig::default()
+        });
+        let config = ReplayConfig {
+            door,
+            verify: true,
+            ..ReplayConfig::default()
+        };
+        let report = replay_trace(&trace, &config).unwrap();
+        assert_eq!(
+            rows(&batch),
+            rows(&report),
+            "workers={workers}: the async door resolved a request differently"
+        );
+        assert_eq!(report.value_mismatches(), 0, "workers={workers}");
+        assert!(
+            report.outcomes.iter().all(|o| o.cold_value.is_some()),
+            "workers={workers}: every exact answer was verified"
+        );
+    }
 }
