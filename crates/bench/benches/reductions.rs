@@ -10,7 +10,8 @@ use rand::SeedableRng;
 
 use fsw_rn3dm::{prop2_period_outorder, prop9_latency_forkjoin, yes_instance};
 use fsw_sched::latency::oneport_latency_search;
-use fsw_sched::outorder::{outorder_schedule_at, OutOrderOptions};
+use fsw_sched::orchestrator::SearchBudget;
+use fsw_sched::outorder::outorder_schedule_at;
 
 fn bench_reductions(c: &mut Criterion) {
     let mut group = c.benchmark_group("reductions");
@@ -31,7 +32,7 @@ fn bench_reductions(c: &mut Criterion) {
                         &prop2.app,
                         &prop2.graph,
                         prop2.bound,
-                        &OutOrderOptions::default(),
+                        &SearchBudget::default(),
                     )
                     .unwrap()
                 })

@@ -25,14 +25,13 @@ use fsw_sched::engine::frontier::DEFAULT_FRONTIER_CAP;
 use fsw_sched::engine::CanonicalSpace;
 use fsw_sched::engine::EvalCache;
 use fsw_sched::latency::{multiport_proportional_latency, oneport_latency_search};
-use fsw_sched::minperiod::{minperiod_local_search, MinPeriodOptions, PeriodEvaluation};
+use fsw_sched::minperiod::minperiod_local_search;
 use fsw_sched::oneport::{oneport_period_search, OnePortStyle};
 use fsw_sched::oracle::{
     classed_representatives, classed_scan, exhaustive_dag_best, exhaustive_forest_best,
     forest_representatives,
 };
 use fsw_sched::orchestrator::{solve, solve_all, solve_warm, Objective, Problem, SearchBudget};
-use fsw_sched::outorder::OutOrderOptions;
 use fsw_sched::overlap::overlap_period_lower_bound;
 use fsw_sched::tree::tree_latency;
 use fsw_sched::CommOrderings;
@@ -163,19 +162,21 @@ pub fn e4_counterexample_b3() -> Vec<ExperimentRow> {
 /// E5 — Proposition 2 gadget (RN3DM ↦ OUTORDER orchestration).
 pub fn e5_prop2_gadget() -> Vec<ExperimentRow> {
     let mut rows = Vec::new();
+    // The gadget's tight period needs a deeper backtracking search than the
+    // plan searches' default.
+    let gadget_budget = SearchBudget {
+        outorder_node_budget: 2_000_000,
+        ..SearchBudget::default()
+    };
     let mut rng = StdRng::seed_from_u64(2);
     for n in 2..=4 {
         let (inst, _) = yes_instance(n, &mut rng);
         let gadget = prop2_period_outorder(&inst);
-        let opts = OutOrderOptions {
-            node_budget: 2_000_000,
-            ..OutOrderOptions::default()
-        };
         let found = fsw_sched::outorder::outorder_schedule_at(
             &gadget.app,
             &gadget.graph,
             gadget.bound,
-            &opts,
+            &gadget_budget,
         )
         .expect("consistent")
         .is_some();
@@ -187,15 +188,11 @@ pub fn e5_prop2_gadget() -> Vec<ExperimentRow> {
     }
     if let Some(inst) = no_instance(4, 2_000, &mut rng) {
         let gadget = prop2_period_outorder(&inst);
-        let opts = OutOrderOptions {
-            node_budget: 2_000_000,
-            ..OutOrderOptions::default()
-        };
         let found = fsw_sched::outorder::outorder_schedule_at(
             &gadget.app,
             &gadget.graph,
             gadget.bound,
-            &opts,
+            &gadget_budget,
         )
         .expect("consistent");
         rows.push(ExperimentRow::new(
@@ -345,9 +342,9 @@ pub fn e9_forest_structure() -> Vec<ExperimentRow> {
 }
 
 /// E10 — scaling / heuristic quality study on the query-optimisation
-/// workload.  The exhaustive side now runs through the unified orchestrator;
-/// the local-search heuristics remain the legacy entry points so the two
-/// columns stay an apples-to-apples comparison.
+/// workload.  The exhaustive side runs through the unified orchestrator and
+/// the local-search heuristic is called directly under the same budget, so
+/// the two columns stay an apples-to-apples comparison.
 pub fn e10_scaling() -> Vec<ExperimentRow> {
     let mut rng = StdRng::seed_from_u64(10);
     let mut rows = Vec::new();
@@ -359,7 +356,7 @@ pub fn e10_scaling() -> Vec<ExperimentRow> {
             &budget,
         )
         .expect("solver");
-        let local = minperiod_local_search(&app, &MinPeriodOptions::default()).expect("solver");
+        let local = minperiod_local_search(&app, CommModel::Overlap, &budget).expect("solver");
         rows.push(ExperimentRow::new(
             format!("MINPERIOD OVERLAP n={n}: local search (paper column = exhaustive forests)"),
             Some(exhaustive.value),
@@ -452,7 +449,6 @@ pub fn e10_scaling() -> Vec<ExperimentRow> {
         None,
         wall_ms,
     ));
-    let _ = PeriodEvaluation::LowerBound;
     rows
 }
 
@@ -1250,7 +1246,7 @@ fn async_overload_rows(
 /// E16 — a million-request overload trace through the async front end with
 /// injected worker-stall / slow-shard / ingress-burst faults, replayed at
 /// 1, 2 and 4 workers (decision digests must match bit-for-bit).  See
-/// [`async_overload_rows`] for the asserted contracts.
+/// `async_overload_rows` for the asserted contracts.
 pub fn e16_async_overload() -> Vec<ExperimentRow> {
     async_overload_rows(
         32,
@@ -1564,7 +1560,7 @@ fn observed_overload_rows(
 /// sketch-decoded per-tenant rates inside the count-min bound, < 5% wall
 /// overhead on the fault-free trace, and decision digests bit-identical
 /// to the uninstrumented replay at 1, 2 and 4 workers.  See
-/// [`observed_overload_rows`].
+/// `observed_overload_rows`.
 pub fn e17_observability() -> Vec<ExperimentRow> {
     observed_overload_rows(
         32,

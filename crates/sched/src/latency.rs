@@ -281,32 +281,29 @@ pub fn oneport_latency_search(
     graph: &ExecutionGraph,
     exhaustive_limit: usize,
 ) -> CoreResult<LatencySearchResult> {
-    oneport_latency_search_exec(app, graph, exhaustive_limit, Exec::serial())
-}
-
-/// [`oneport_latency_search`] under an explicit execution strategy: the
-/// exhaustive enumeration is split over `exec` worker threads (chunks in
-/// enumeration order, reduced with the serial tie-breaking rule, so the
-/// result is bit-identical to the serial run) and honours its deadline.
-pub fn oneport_latency_search_exec(
-    app: &Application,
-    graph: &ExecutionGraph,
-    exhaustive_limit: usize,
-    exec: Exec,
-) -> CoreResult<LatencySearchResult> {
     Ok(
-        oneport_latency_search_bounded(app, graph, exhaustive_limit, exec, f64::INFINITY)?
-            .expect("an infinite cutoff never prunes the search"),
+        oneport_latency_search_bounded(
+            app,
+            graph,
+            exhaustive_limit,
+            Exec::serial(),
+            f64::INFINITY,
+        )?
+        .expect("an infinite cutoff never prunes the search"),
     )
 }
 
-/// Branch-and-bound variant of [`oneport_latency_search_exec`]: a `cutoff`
-/// carried in from an incumbent lets the search abandon work that cannot
-/// matter.
+/// Branch-and-bound variant of [`oneport_latency_search`] under an explicit
+/// execution strategy: the exhaustive enumeration is split over `exec`
+/// worker threads (chunks in enumeration order, reduced with the serial
+/// tie-breaking rule, so the result is bit-identical to the serial run) and
+/// honours its deadline, and a `cutoff` carried in from an incumbent lets
+/// the search abandon work that cannot matter.
 ///
 /// * Returns `Ok(None)` when every ordering provably exceeds `cutoff`
 ///   (including the cheap case where already the critical-path lower bound
-///   does) — the caller's incumbent cannot be improved by this graph.
+///   does) — the caller's incumbent cannot be improved by this graph.  An
+///   infinite cutoff never returns `None`.
 /// * Otherwise the result is exactly what the unbounded search would have
 ///   returned (value, winning ordering and schedule are bit-identical):
 ///   partial schedules are abandoned only once some operation provably ends

@@ -17,6 +17,14 @@
 //! | Srivastava et al. no-communication baseline | [`baseline`] |
 //! | prune-and-memoise search engine (incumbents, canonical ordering cache, symmetry-reduced enumeration) | [`engine`] |
 //! | brute-force reference searches, for tests and experiments only | [`oracle`] |
+//! | the unified [`solve`] entry point and its [`SearchBudget`] | [`orchestrator`] |
+//!
+//! One [`SearchBudget`] configures every search: [`solve`], the plan
+//! searches [`minimize_period`] and [`minimize_latency`], and the OUTORDER
+//! scheduler [`outorder_period_search`].  The ordering searches of the
+//! one-port models take their enumeration cap directly, and their
+//! `_bounded` twins an [`Exec`] (worker threads and deadline) plus the
+//! incumbent cutoff of a branch-and-bound caller.
 //!
 //! ```
 //! use fsw_core::{Application, CommModel, ExecutionGraph};
@@ -57,25 +65,20 @@ pub use engine::{CanonicalRep, CanonicalSpace, EvalCache, Incumbent, PartialPrun
 pub use latency::{
     latency_lower_bound, multiport_latency, multiport_proportional_latency,
     oneport_latency_for_orderings, oneport_latency_search, oneport_latency_search_bounded,
-    oneport_latency_search_exec, LatencyEvaluator, LatencySearchResult,
+    LatencyEvaluator, LatencySearchResult,
 };
-pub use minlatency::{
-    minimize_latency, minimize_latency_exec, MinLatencyOptions, MinLatencyResult,
-};
-pub use minperiod::{
-    minimize_period, minimize_period_exec, MinPeriodOptions, MinPeriodResult, PeriodEvaluation,
-    SearchOutcome,
-};
+pub use minlatency::{minimize_latency, MinLatencyResult};
+pub use minperiod::{minimize_period, MinPeriodResult, PeriodEvaluation, SearchOutcome};
 pub use oneport::{
     inorder_oplist_for_orderings, inorder_period_for_orderings,
     oneport_overlap_period_for_orderings, oneport_period_lower_bound, oneport_period_search,
-    oneport_period_search_bounded, oneport_period_search_exec, OnePortStyle, OrderingSearchResult,
+    oneport_period_search_bounded, OnePortStyle, OrderingSearchResult,
 };
 pub use orchestrator::{solve, solve_all, Objective, Problem, SearchBudget, Solution};
 pub use orderings::{CommOrderings, OrderingSpace};
 pub use outorder::{
     outorder_period_lower_bound, outorder_period_search, outorder_period_search_bounded,
-    outorder_period_search_exec, outorder_schedule_at, OutOrderOptions, OutOrderResult,
+    outorder_schedule_at, OutOrderResult,
 };
 pub use overlap::{overlap_period_lower_bound, overlap_period_oplist};
 pub use par::Exec;

@@ -14,9 +14,10 @@
 //! * latency of a candidate graph measured exactly for forests, and by the
 //!   one-port / multi-port orchestration searches for general DAGs.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, PlanMetrics, ServiceId};
+use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, PlanMetrics};
 
 use crate::chain::{chain_graph, chain_minlatency_order};
 use crate::engine::frontier::StreamProbe;
@@ -25,49 +26,11 @@ use crate::latency::{
     latency_lower_bound_with, multiport_proportional_latency, oneport_latency_search,
     oneport_latency_search_prepared, LatencyEvaluator,
 };
-use crate::minperiod::{exhaustive_dag_search, exhaustive_forest_search};
+use crate::minperiod::{exhaustive_dag_search, exhaustive_forest_search_probed, hill_climb};
+use crate::orchestrator::SearchBudget;
 use crate::orderings::CommOrderings;
 use crate::par::Exec;
 use crate::tree::tree_latency;
-
-/// Options for the MINLATENCY solvers.
-#[derive(Clone, Copy, Debug)]
-pub struct MinLatencyOptions {
-    /// Target communication model (`Overlap` allows bounded multi-port
-    /// schedules; the one-port models share the same latency machinery).
-    pub model: CommModel,
-    /// Ordering-space bound for exhaustive orchestration of non-forest graphs.
-    pub ordering_exhaustive_limit: usize,
-    /// Upper bound on the number of parent functions enumerated by the
-    /// exhaustive forest solver.
-    pub forest_enumeration_cap: usize,
-    /// Number of hill-climbing passes of the local search.
-    pub local_search_passes: usize,
-    /// Instances up to this size are also searched over all DAGs.
-    pub dag_enumeration_max_n: usize,
-}
-
-impl Default for MinLatencyOptions {
-    fn default() -> Self {
-        MinLatencyOptions {
-            model: CommModel::Overlap,
-            ordering_exhaustive_limit: 5_000,
-            forest_enumeration_cap: 2_000_000,
-            local_search_passes: 32,
-            dag_enumeration_max_n: 5,
-        }
-    }
-}
-
-impl MinLatencyOptions {
-    /// Convenience constructor for a given model with default effort.
-    pub fn for_model(model: CommModel) -> Self {
-        MinLatencyOptions {
-            model,
-            ..MinLatencyOptions::default()
-        }
-    }
-}
 
 /// Result of a MINLATENCY solve.
 #[derive(Clone, Debug)]
@@ -83,50 +46,25 @@ pub struct MinLatencyResult {
 /// Evaluates the latency of a candidate execution graph under the requested model.
 ///
 /// Forests are evaluated exactly (Proposition 12); general DAGs use the
-/// ordering search (exhaustive within `ordering_exhaustive_limit`, hill
+/// ordering search (exhaustive within [`SearchBudget::max_orderings`], hill
 /// climbing beyond), and the `Overlap` model additionally considers the
 /// proportional multi-port schedule.
 pub fn evaluate_latency(
     app: &Application,
     graph: &ExecutionGraph,
-    options: &MinLatencyOptions,
+    model: CommModel,
+    budget: &SearchBudget,
 ) -> CoreResult<f64> {
     if graph.is_forest() {
         return tree_latency(app, graph);
     }
-    let oneport = oneport_latency_search(app, graph, options.ordering_exhaustive_limit)?;
+    let oneport = oneport_latency_search(app, graph, budget.max_orderings)?;
     let mut best = oneport.latency;
-    if options.model == CommModel::Overlap {
+    if model == CommModel::Overlap {
         let (fluid, _) = multiport_proportional_latency(app, graph)?;
         best = best.min(fluid);
     }
     Ok(best)
-}
-
-/// Exact latency of a forest candidate (Algorithm 1), `∞` when infeasible —
-/// the single evaluation shared by every forest-space MINLATENCY search.
-fn forest_latency_eval(app: &Application, graph: &ExecutionGraph) -> f64 {
-    tree_latency(app, graph).unwrap_or(f64::INFINITY)
-}
-
-/// Enumerates every forest execution graph compatible with the precedence
-/// constraints and returns the latency-optimal one (exact evaluation by
-/// Algorithm 1, subtrees pruned on the incremental critical-path bound).
-pub fn exhaustive_forest_minlatency(
-    app: &Application,
-    cap: usize,
-) -> Option<(f64, ExecutionGraph)> {
-    exhaustive_forest_search(
-        app,
-        cap,
-        Exec::serial(),
-        PartialPrune::Latency,
-        // Algorithm 1 is exact and purely structural (children combine in
-        // value order), hence invariant under class-preserving relabellings.
-        Symmetry::Classes,
-        &|g, _| forest_latency_eval(app, g),
-    )
-    .map(|out| (out.value, out.graph))
 }
 
 /// Bounded (branch-and-bound aware) candidate evaluation: like
@@ -136,7 +74,8 @@ pub fn exhaustive_forest_minlatency(
 fn evaluate_latency_bounded(
     app: &Application,
     graph: &ExecutionGraph,
-    options: &MinLatencyOptions,
+    model: CommModel,
+    budget: &SearchBudget,
     cache: &EvalCache,
     cutoff: f64,
     deadline: Option<Instant>,
@@ -160,7 +99,7 @@ fn evaluate_latency_bounded(
     }
     // The (cheap, exact) proportional multi-port schedule further tightens
     // the cutoff handed to the expensive one-port ordering search.
-    let fluid = if options.model == CommModel::Overlap {
+    let fluid = if model == CommModel::Overlap {
         multiport_proportional_latency(app, graph)
             .ok()
             .map(|(value, _)| value)
@@ -177,12 +116,11 @@ fn evaluate_latency_bounded(
         let inner_exec = Exec {
             threads: 1,
             deadline,
-            split_levels: 1,
         };
         match oneport_latency_search_prepared(
             graph,
             &evaluator,
-            options.ordering_exhaustive_limit,
+            budget.max_orderings,
             inner_exec,
             c,
         ) {
@@ -195,8 +133,7 @@ fn evaluate_latency_bounded(
     let oneport = if deadline.is_some() {
         search(inner_cutoff)
     } else {
-        let exhaustive =
-            CommOrderings::search_space_size(graph) <= options.ordering_exhaustive_limit;
+        let exhaustive = CommOrderings::search_space_size(graph) <= budget.max_orderings;
         cache.get_or_compute(
             tags::ONEPORT_LATENCY,
             graph,
@@ -227,112 +164,58 @@ fn seed_graphs(app: &Application) -> Vec<ExecutionGraph> {
     seeds
 }
 
-/// Heuristic MINLATENCY: best seed followed by hill climbing over
-/// single-parent reassignments.
+/// Heuristic MINLATENCY: best constructive seed followed by the shared
+/// single-parent hill climbing, every candidate valued by
+/// [`evaluate_latency`].
 pub fn minlatency_local_search(
     app: &Application,
-    options: &MinLatencyOptions,
+    model: CommModel,
+    budget: &SearchBudget,
 ) -> CoreResult<MinLatencyResult> {
-    let eval =
-        |g: &ExecutionGraph| -> f64 { evaluate_latency(app, g, options).unwrap_or(f64::INFINITY) };
-    let mut best_graph = ExecutionGraph::new(app.n());
-    let mut best_value = f64::INFINITY;
-    for seed in seed_graphs(app) {
-        let value = eval(&seed);
-        if value < best_value {
-            best_value = value;
-            best_graph = seed;
-        }
-    }
-    let n = app.n();
-    for _pass in 0..options.local_search_passes {
-        let mut improved = false;
-        for k in 0..n {
-            let current_preds: Vec<ServiceId> = best_graph.preds(k).to_vec();
-            let mut candidates: Vec<Option<ServiceId>> = vec![None];
-            for p in 0..n {
-                if p != k {
-                    candidates.push(Some(p));
-                }
-            }
-            for cand in candidates {
-                let mut graph = best_graph.clone();
-                for &p in &current_preds {
-                    graph.remove_edge(p, k);
-                }
-                if let Some(p) = cand {
-                    if graph.add_edge(p, k).is_err() {
-                        continue;
-                    }
-                }
-                if graph.respects(app).is_err() {
-                    continue;
-                }
-                let value = eval(&graph);
-                if value + 1e-12 < best_value {
-                    best_value = value;
-                    best_graph = graph;
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
+    let (latency, graph) = hill_climb(app, seed_graphs(app), |g| {
+        evaluate_latency(app, g, model, budget).unwrap_or(f64::INFINITY)
+    });
     Ok(MinLatencyResult {
-        latency: best_value,
-        graph: best_graph,
+        latency,
+        graph,
         exhaustive: false,
     })
 }
 
-/// Full MINLATENCY solver.
+/// The MINLATENCY plan search under `budget`.
 ///
 /// For unconstrained instances the forest space is enumerated exhaustively
-/// when small enough; tiny instances are additionally searched over all DAGs
-/// (the latency optimum may require a join, unlike the period).  Larger
-/// instances fall back to the local-search heuristic.
+/// when it fits [`SearchBudget::max_graphs`]; instances up to
+/// [`SearchBudget::dag_enumeration_max_n`] are additionally searched over
+/// all DAGs (the latency optimum may require a join, unlike the period).
+/// Larger instances fall back to the local-search heuristic.  The
+/// exhaustive phases fan out over [`SearchBudget::threads`] workers
+/// (bit-identical to the serial run) and honour
+/// [`SearchBudget::time_limit`], returning the best graph found so far with
+/// `exhaustive == false` when it interrupts the enumeration.
+///
+/// This is the plan search alone: [`crate::orchestrator::solve`] also
+/// schedules the winner, and its `exhaustive` flag combines both.
 pub fn minimize_latency(
     app: &Application,
-    options: &MinLatencyOptions,
-) -> CoreResult<MinLatencyResult> {
-    minimize_latency_exec(app, options, Exec::serial())
-}
-
-/// [`minimize_latency`] under an explicit execution strategy: the exhaustive
-/// phases fan out over `exec` worker threads (bit-identical to the serial
-/// run) and honour its deadline, returning the best graph found so far with
-/// `exhaustive == false` when the deadline interrupts the enumeration.
-pub fn minimize_latency_exec(
-    app: &Application,
-    options: &MinLatencyOptions,
-    exec: Exec,
-) -> CoreResult<MinLatencyResult> {
-    minimize_latency_engine(app, options, exec, &EvalCache::new(app))
-}
-
-/// [`minimize_latency_exec`] with a caller-provided evaluation cache, so a
-/// batch sweep ([`crate::orchestrator::solve_all`]) can share one memo.
-pub(crate) fn minimize_latency_engine(
-    app: &Application,
-    options: &MinLatencyOptions,
-    exec: Exec,
-    cache: &EvalCache,
+    model: CommModel,
+    budget: &SearchBudget,
 ) -> CoreResult<MinLatencyResult> {
     minimize_latency_engine_seeded(
         app,
-        options,
-        exec,
-        cache,
+        model,
+        budget,
+        budget.exec(),
+        &EvalCache::new(app),
         f64::INFINITY,
-        &std::sync::atomic::AtomicUsize::new(0),
+        &AtomicUsize::new(0),
         None,
     )
 }
 
-/// [`minimize_latency_engine`] with a warm-start incumbent seed and an
-/// evaluation counter (the latency twin of
+/// The body of [`minimize_latency`] with a caller-provided evaluation cache,
+/// the execution strategy resolved once per solve, a warm-start incumbent
+/// seed and an evaluation counter (the latency twin of
 /// `minimize_period_engine_seeded`): `incumbent_seed` pre-loads the forest
 /// phase's incumbent and tightens the DAG phase's seed, `evals` counts full
 /// candidate evaluations.  Winners are bit-identical to the cold solve for
@@ -343,23 +226,23 @@ pub(crate) fn minimize_latency_engine(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn minimize_latency_engine_seeded(
     app: &Application,
-    options: &MinLatencyOptions,
+    model: CommModel,
+    budget: &SearchBudget,
     exec: Exec,
     cache: &EvalCache,
     incumbent_seed: f64,
-    evals: &std::sync::atomic::AtomicUsize,
+    evals: &AtomicUsize,
     probe: Option<&StreamProbe>,
 ) -> CoreResult<MinLatencyResult> {
-    use std::sync::atomic::Ordering;
     let mut best: Option<MinLatencyResult> = None;
     if !app.has_constraints() {
         let eval = |g: &ExecutionGraph, _cutoff: f64| {
             evals.fetch_add(1, Ordering::Relaxed);
-            forest_latency_eval(app, g)
+            tree_latency(app, g).unwrap_or(f64::INFINITY)
         };
-        if let Some(out) = crate::minperiod::exhaustive_forest_search_probed(
+        if let Some(out) = exhaustive_forest_search_probed(
             app,
-            options.forest_enumeration_cap,
+            budget.max_graphs,
             exec,
             PartialPrune::Latency,
             // Algorithm 1 is exact and purely structural, hence invariant
@@ -376,7 +259,7 @@ pub(crate) fn minimize_latency_engine_seeded(
             });
         }
     }
-    if app.n() <= options.dag_enumeration_max_n {
+    if app.n() <= budget.dag_enumeration_max_n {
         // Seed the DAG phase's incumbent with the forest optimum (tightened
         // by the warm-start seed): a DAG only matters when it strictly beats
         // every forest, so candidates whose critical path already clears the
@@ -387,22 +270,20 @@ pub(crate) fn minimize_latency_engine_seeded(
             .min(incumbent_seed);
         let eval = |g: &ExecutionGraph, cutoff: f64| {
             evals.fetch_add(1, Ordering::Relaxed);
-            evaluate_latency_bounded(app, g, options, cache, cutoff, exec.deadline)
+            evaluate_latency_bounded(app, g, model, budget, cache, cutoff, exec.deadline)
         };
         // The DAG evaluation is label-invariant only while every candidate's
         // ordering search stays exhaustive (beyond the budget it falls back
         // to label-following hill climbing), so the symmetry reduction is
         // gated on the worst DAG's ordering space fitting the budget.
-        let symmetry = if CanonicalSpace::max_dag_ordering_space(app.n())
-            <= options.ordering_exhaustive_limit
-        {
+        let symmetry = if CanonicalSpace::max_dag_ordering_space(app.n()) <= budget.max_orderings {
             Symmetry::Auto
         } else {
             Symmetry::Full
         };
         let dag = exhaustive_dag_search(
             app,
-            options.dag_enumeration_max_n,
+            budget.dag_enumeration_max_n,
             exec,
             seed,
             symmetry,
@@ -420,7 +301,7 @@ pub(crate) fn minimize_latency_engine_seeded(
     }
     match best {
         Some(b) => Ok(b),
-        None => minlatency_local_search(app, options),
+        None => minlatency_local_search(app, model, budget),
     }
 }
 
@@ -431,7 +312,7 @@ mod tests {
     #[test]
     fn strong_filter_is_chained_in_front() {
         let app = Application::independent(&[(1.0, 0.1), (10.0, 1.0)]);
-        let result = minimize_latency(&app, &MinLatencyOptions::default()).unwrap();
+        let result = minimize_latency(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive);
         assert!(result.graph.has_edge(0, 1));
         // in(1) + c0(1) + comm(0.1) + c1(0.1*10=1) + out(0.1)
@@ -442,7 +323,7 @@ mod tests {
     fn expanders_are_not_chained_for_latency() {
         // Chaining an expander in front of anything only increases the latency.
         let app = Application::independent(&[(1.0, 3.0), (1.0, 3.0)]);
-        let result = minimize_latency(&app, &MinLatencyOptions::default()).unwrap();
+        let result = minimize_latency(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive);
         assert_eq!(result.graph.edge_count(), 0);
         // Each runs independently: 1 + 1 + 3 = 5.
@@ -455,17 +336,17 @@ mod tests {
         let order = chain_minlatency_order(&app).unwrap();
         let chain_value = crate::chain::chain_latency(&app, &order);
         // The unrestricted optimum can only be better or equal.
-        let result = minimize_latency(&app, &MinLatencyOptions::default()).unwrap();
+        let result = minimize_latency(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.latency <= chain_value + 1e-9);
     }
 
     #[test]
     fn local_search_close_to_exhaustive() {
         let app = Application::independent(&[(2.0, 0.5), (1.0, 2.0), (3.0, 0.8), (1.0, 0.6)]);
-        let options = MinLatencyOptions::default();
-        let exhaustive = minimize_latency(&app, &options).unwrap();
+        let budget = SearchBudget::default();
+        let exhaustive = minimize_latency(&app, CommModel::Overlap, &budget).unwrap();
         assert!(exhaustive.exhaustive);
-        let local = minlatency_local_search(&app, &options).unwrap();
+        let local = minlatency_local_search(&app, CommModel::Overlap, &budget).unwrap();
         assert!(local.latency >= exhaustive.latency - 1e-9);
         assert!(local.latency <= exhaustive.latency * 1.25 + 1e-9);
     }
@@ -474,7 +355,7 @@ mod tests {
     fn constraints_are_respected() {
         let mut app = Application::independent(&[(1.0, 0.5), (2.0, 0.5), (3.0, 1.0)]);
         app.add_constraint(1, 2).unwrap();
-        let result = minimize_latency(&app, &MinLatencyOptions::default()).unwrap();
+        let result = minimize_latency(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         result.graph.respects(&app).unwrap();
     }
 
@@ -483,11 +364,15 @@ mod tests {
         // For a tree the exact Algorithm-1 value and the ordering search agree.
         let app = Application::independent(&[(1.0, 1.0), (2.0, 0.5), (3.0, 2.0), (1.0, 1.0)]);
         let g = ExecutionGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3)]).unwrap();
-        let opts = MinLatencyOptions::default();
         let by_tree = tree_latency(&app, &g).unwrap();
         let by_search = oneport_latency_search(&app, &g, 10_000).unwrap();
         assert!(by_search.exhaustive);
         assert!((by_tree - by_search.latency).abs() < 1e-9);
-        assert!((evaluate_latency(&app, &g, &opts).unwrap() - by_tree).abs() < 1e-9);
+        assert!(
+            (evaluate_latency(&app, &g, CommModel::Overlap, &SearchBudget::default()).unwrap()
+                - by_tree)
+                .abs()
+                < 1e-9
+        );
     }
 }

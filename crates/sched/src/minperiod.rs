@@ -16,7 +16,7 @@
 //!   the one-port lower bound or an actual ordering search for the one-port
 //!   models.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use fsw_core::{
@@ -33,8 +33,9 @@ use crate::engine::{
     prune_threshold, tags, CanonicalSpace, EvalCache, Incumbent, PartialPrune, Symmetry,
 };
 use crate::oneport::{oneport_period_search, oneport_period_search_prepared, OnePortStyle};
+use crate::orchestrator::SearchBudget;
 use crate::orderings::CommOrderings;
-use crate::outorder::{outorder_period_search, outorder_period_search_bounded, OutOrderOptions};
+use crate::outorder::outorder_period_search_bounded;
 use crate::par::{fold_min, par_chunks, Exec};
 
 /// How the period of a candidate execution graph is evaluated.
@@ -45,46 +46,9 @@ pub enum PeriodEvaluation {
     LowerBound,
     /// Run the orchestration machinery for the chosen model: exact for
     /// OVERLAP, ordering search for INORDER, cyclic-scheduling search for
-    /// OUTORDER.  More faithful, considerably more expensive.
-    Orchestrated {
-        /// Bound on the ordering space enumerated exhaustively.
-        exhaustive_limit: usize,
-    },
-}
-
-/// Options for the MINPERIOD solvers.
-#[derive(Clone, Copy, Debug)]
-pub struct MinPeriodOptions {
-    /// Target communication model.
-    pub model: CommModel,
-    /// Evaluation used while searching.
-    pub evaluation: PeriodEvaluation,
-    /// Upper bound on the number of parent functions enumerated by the
-    /// exhaustive forest solver.
-    pub forest_enumeration_cap: usize,
-    /// Number of hill-climbing passes of the local search.
-    pub local_search_passes: usize,
-}
-
-impl Default for MinPeriodOptions {
-    fn default() -> Self {
-        MinPeriodOptions {
-            model: CommModel::Overlap,
-            evaluation: PeriodEvaluation::LowerBound,
-            forest_enumeration_cap: 2_000_000,
-            local_search_passes: 32,
-        }
-    }
-}
-
-impl MinPeriodOptions {
-    /// Convenience constructor for a given model with default effort.
-    pub fn for_model(model: CommModel) -> Self {
-        MinPeriodOptions {
-            model,
-            ..MinPeriodOptions::default()
-        }
-    }
+    /// OUTORDER, both capped by [`SearchBudget::max_orderings`].  More
+    /// faithful, considerably more expensive.
+    Orchestrated,
 }
 
 /// Result of a MINPERIOD solve.
@@ -99,33 +63,29 @@ pub struct MinPeriodResult {
     pub exhaustive: bool,
 }
 
-/// Evaluates the period of a candidate execution graph under the requested model.
+/// Evaluates the period of a candidate execution graph under the requested
+/// model, with the budget's [`SearchBudget::period_evaluation`] (serially and
+/// without a deadline: a value, not a search outcome).
 pub fn evaluate_period(
     app: &Application,
     graph: &ExecutionGraph,
     model: CommModel,
-    evaluation: PeriodEvaluation,
+    budget: &SearchBudget,
 ) -> CoreResult<f64> {
-    let metrics = PlanMetrics::compute(app, graph)?;
-    let lower = metrics.period_lower_bound(model);
-    match evaluation {
-        PeriodEvaluation::LowerBound => Ok(lower),
-        PeriodEvaluation::Orchestrated { exhaustive_limit } => match model {
-            CommModel::Overlap => Ok(lower),
-            CommModel::InOrder => {
-                Ok(
-                    oneport_period_search(app, graph, OnePortStyle::InOrder, exhaustive_limit)?
-                        .period,
-                )
-            }
-            CommModel::OutOrder => {
-                let opts = OutOrderOptions {
-                    inorder_exhaustive_limit: exhaustive_limit,
-                    ..OutOrderOptions::default()
-                };
-                Ok(outorder_period_search(app, graph, &opts)?.period)
-            }
-        },
+    let lower = PlanMetrics::compute(app, graph)?.period_lower_bound(model);
+    match (budget.period_evaluation, model) {
+        (PeriodEvaluation::LowerBound, _) | (_, CommModel::Overlap) => Ok(lower),
+        (PeriodEvaluation::Orchestrated, CommModel::InOrder) => {
+            Ok(
+                oneport_period_search(app, graph, OnePortStyle::InOrder, budget.max_orderings)?
+                    .period,
+            )
+        }
+        (PeriodEvaluation::Orchestrated, CommModel::OutOrder) => Ok(
+            outorder_period_search_bounded(app, graph, budget, Exec::serial(), f64::INFINITY)?
+                .expect("an infinite cutoff never prunes")
+                .period,
+        ),
     }
 }
 
@@ -174,7 +134,7 @@ pub struct SearchOutcome {
 ///   count exceeds the cap falls back to the raw labelled space;
 /// * every other space is walked **depth-first** over the labelled parent
 ///   functions: the first one or two enumeration levels (see
-///   [`Exec::split_levels`]) are expanded into tasks, split over
+///   [`Exec::split_depth`]) are expanded into tasks, split over
 ///   `exec.effective_threads()` workers and reduced in enumeration order, so
 ///   the result is bit-identical to the serial run.
 pub fn exhaustive_forest_search<F>(
@@ -273,7 +233,7 @@ where
         eval(graph, incumbent)
     };
     let incumbent = Incumbent::seeded(incumbent_seed);
-    let prefixes = forest_task_prefixes(n, exec.effective_split_levels());
+    let prefixes = forest_task_prefixes(n, exec.split_depth());
     let parts = par_chunks(exec.effective_threads(), &prefixes, |_base, chunk| {
         let mut best: Option<(f64, ExecutionGraph)> = None;
         let mut complete = true;
@@ -429,7 +389,7 @@ pub const DAG_ENUMERATION_HARD_MAX_N: usize = 11;
 /// semantics: [`crate::oracle::exhaustive_dag_best`]): DAGs are generated as
 /// (topological permutation, subset of forward edges), which enumerates
 /// every DAG at least once; the first one or two permutation positions (see
-/// [`Exec::split_levels`]) are expanded into tasks, split over
+/// [`Exec::split_depth`]) are expanded into tasks, split over
 /// `exec.effective_threads()` workers and reduced in enumeration order,
 /// so the result is bit-identical to the serial run; an optional deadline
 /// interrupts the enumeration.  Instances larger than
@@ -479,7 +439,7 @@ where
     // Task prefixes: positions swapped into the first one or two permutation
     // slots, in the order the serial recursion (`items.swap(level, i)`)
     // visits them.
-    let prefixes: Vec<Vec<usize>> = if exec.effective_split_levels() >= 2 && n >= 2 {
+    let prefixes: Vec<Vec<usize>> = if exec.split_depth() >= 2 && n >= 2 {
         (0..n)
             .flat_map(|i| (1..n).map(move |j| vec![i, j]))
             .collect()
@@ -682,19 +642,27 @@ fn seed_graphs(app: &Application, model: CommModel) -> Vec<ExecutionGraph> {
     seeds
 }
 
-/// Heuristic MINPERIOD: best seed followed by hill climbing over single-parent
-/// reassignments (`set parent of k to None / to p`), keeping the application's
-/// precedence constraints satisfied.
-pub fn minperiod_local_search(
+/// Passes of the hill-climbing local search used beyond
+/// [`SearchBudget::max_graphs`].
+const LOCAL_SEARCH_PASSES: usize = 32;
+
+/// Hill climbing over single-parent reassignments (`set parent of k to None
+/// / to p`), keeping the application's precedence constraints satisfied:
+/// starts from the first best of `seeds`, accepts a move only when it
+/// improves the value by more than `1e-12`, and stops after a pass without
+/// improvement or after [`LOCAL_SEARCH_PASSES`] passes.  The local search of
+/// both plan searches.
+pub(crate) fn hill_climb<F>(
     app: &Application,
-    options: &MinPeriodOptions,
-) -> CoreResult<MinPeriodResult> {
-    let eval = |g: &ExecutionGraph| -> f64 {
-        evaluate_period(app, g, options.model, options.evaluation).unwrap_or(f64::INFINITY)
-    };
+    seeds: Vec<ExecutionGraph>,
+    eval: F,
+) -> (f64, ExecutionGraph)
+where
+    F: Fn(&ExecutionGraph) -> f64,
+{
     let mut best_graph = ExecutionGraph::new(app.n());
     let mut best_value = f64::INFINITY;
-    for seed in seed_graphs(app, options.model) {
+    for seed in seeds {
         let value = eval(&seed);
         if value < best_value {
             best_value = value;
@@ -702,18 +670,12 @@ pub fn minperiod_local_search(
         }
     }
     let n = app.n();
-    for _pass in 0..options.local_search_passes {
+    for _pass in 0..LOCAL_SEARCH_PASSES {
         let mut improved = false;
         for k in 0..n {
             // Candidate moves: make k an entry node, or give it any other parent.
             let current_preds: Vec<ServiceId> = best_graph.preds(k).to_vec();
-            let mut candidates: Vec<Option<ServiceId>> = vec![None];
-            for p in 0..n {
-                if p != k {
-                    candidates.push(Some(p));
-                }
-            }
-            for cand in candidates {
+            for cand in parent_choices(n, k) {
                 let mut graph = best_graph.clone();
                 for &p in &current_preds {
                     graph.remove_edge(p, k);
@@ -738,33 +700,52 @@ pub fn minperiod_local_search(
             break;
         }
     }
+    (best_value, best_graph)
+}
+
+/// Heuristic MINPERIOD: best constructive seed followed by hill climbing
+/// over single-parent reassignments, every candidate valued by
+/// [`evaluate_period`].
+pub fn minperiod_local_search(
+    app: &Application,
+    model: CommModel,
+    budget: &SearchBudget,
+) -> CoreResult<MinPeriodResult> {
+    let (period, graph) = hill_climb(app, seed_graphs(app, model), |g| {
+        evaluate_period(app, g, model, budget).unwrap_or(f64::INFINITY)
+    });
     Ok(MinPeriodResult {
-        period: best_value,
-        graph: best_graph,
+        period,
+        graph,
         exhaustive: false,
     })
 }
 
-/// Full MINPERIOD solver: exhaustive forest enumeration when the instance is
-/// small enough (optimal for the requested evaluation, by Proposition 4),
-/// falling back to the local-search heuristic otherwise.
+/// The MINPERIOD plan search under `budget`: exhaustive forest enumeration
+/// when the instance is small enough (optimal for the budget's
+/// [`SearchBudget::period_evaluation`], by Proposition 4), falling back to
+/// the local-search heuristic otherwise.  The exhaustive phases fan out over
+/// [`SearchBudget::threads`] workers (bit-identical to the serial run) and
+/// honour [`SearchBudget::time_limit`], returning the best graph found so
+/// far with `exhaustive == false` when it interrupts the enumeration.
+///
+/// This is the plan search alone: [`crate::orchestrator::solve`] also
+/// schedules the winner, and its `exhaustive` flag combines both.
 pub fn minimize_period(
     app: &Application,
-    options: &MinPeriodOptions,
+    model: CommModel,
+    budget: &SearchBudget,
 ) -> CoreResult<MinPeriodResult> {
-    minimize_period_exec(app, options, Exec::serial())
-}
-
-/// [`minimize_period`] under an explicit execution strategy: the exhaustive
-/// phases fan out over `exec` worker threads (bit-identical to the serial
-/// run) and honour its deadline, returning the best graph found so far with
-/// `exhaustive == false` when the deadline interrupts the enumeration.
-pub fn minimize_period_exec(
-    app: &Application,
-    options: &MinPeriodOptions,
-    exec: Exec,
-) -> CoreResult<MinPeriodResult> {
-    minimize_period_engine(app, options, exec, &EvalCache::new(app))
+    minimize_period_engine_seeded(
+        app,
+        model,
+        budget,
+        budget.exec(),
+        &EvalCache::new(app),
+        f64::INFINITY,
+        &AtomicUsize::new(0),
+        None,
+    )
 }
 
 /// Bounded (branch-and-bound aware) candidate evaluation: like
@@ -775,7 +756,7 @@ fn evaluate_period_bounded(
     app: &Application,
     graph: &ExecutionGraph,
     model: CommModel,
-    evaluation: PeriodEvaluation,
+    budget: &SearchBudget,
     cache: &EvalCache,
     cutoff: f64,
     deadline: Option<Instant>,
@@ -784,11 +765,8 @@ fn evaluate_period_bounded(
         return f64::INFINITY;
     };
     let lower = metrics.period_lower_bound(model);
-    let PeriodEvaluation::Orchestrated { exhaustive_limit } = evaluation else {
-        return lower;
-    };
-    if model == CommModel::Overlap {
-        // Theorem 1: the lower bound is achieved.
+    if budget.period_evaluation == PeriodEvaluation::LowerBound || model == CommModel::Overlap {
+        // Theorem 1: for OVERLAP the lower bound is achieved.
         return lower;
     }
     // Every orchestrated period dominates the structural bound, so a bound
@@ -802,7 +780,6 @@ fn evaluate_period_bounded(
     let inner_exec = Exec {
         threads: 1,
         deadline,
-        split_levels: 1,
     };
     match model {
         CommModel::Overlap => unreachable!("handled above"),
@@ -812,7 +789,7 @@ fn evaluate_period_bounded(
                 graph,
                 &metrics,
                 OnePortStyle::InOrder,
-                exhaustive_limit,
+                budget.max_orderings,
                 inner_exec,
                 c,
             ) {
@@ -822,7 +799,7 @@ fn evaluate_period_bounded(
             if deadline.is_some() {
                 return search(cutoff);
             }
-            let exhaustive = CommOrderings::search_space_size(graph) <= exhaustive_limit;
+            let exhaustive = CommOrderings::search_space_size(graph) <= budget.max_orderings;
             cache.get_or_compute(tags::INORDER_PERIOD, graph, exhaustive, cutoff, search)
         }
         CommModel::OutOrder => {
@@ -843,11 +820,7 @@ fn evaluate_period_bounded(
             // cutoff that skips candidates whose lower bound clears it and
             // stops the bisection once every remaining probe provably sits
             // above it.
-            let opts = OutOrderOptions {
-                inorder_exhaustive_limit: exhaustive_limit,
-                deadline,
-                ..OutOrderOptions::default()
-            };
+            //
             // The partition comes from the cache (computed once per solve),
             // not per candidate — this branch runs for every enumerated
             // graph.  Reduced-path candidates are already their own
@@ -865,15 +838,7 @@ fn evaluate_period_bounded(
                 };
             let eval_graph = canonical.as_ref().unwrap_or(graph);
             let search = |c: f64| match outorder_period_search_bounded(
-                app,
-                eval_graph,
-                &opts,
-                Exec {
-                    threads: 1,
-                    deadline,
-                    split_levels: 1,
-                },
-                c,
+                app, eval_graph, budget, inner_exec, c,
             ) {
                 Ok(Some(result)) => result.period,
                 Ok(None) | Err(_) => f64::INFINITY,
@@ -886,58 +851,34 @@ fn evaluate_period_bounded(
     }
 }
 
-/// [`minimize_period_exec`] with a caller-provided evaluation cache, so a
-/// batch sweep ([`crate::orchestrator::solve_all`]) can share one memo.
-pub(crate) fn minimize_period_engine(
-    app: &Application,
-    options: &MinPeriodOptions,
-    exec: Exec,
-    cache: &EvalCache,
-) -> CoreResult<MinPeriodResult> {
-    minimize_period_engine_seeded(
-        app,
-        options,
-        exec,
-        cache,
-        f64::INFINITY,
-        &std::sync::atomic::AtomicUsize::new(0),
-        None,
-    )
-}
-
-/// [`minimize_period_engine`] with a warm-start incumbent seed and an
-/// evaluation counter: `incumbent_seed` pre-loads every exhaustive phase's
-/// incumbent (pass the value of a previous plan adapted to the instance;
-/// `∞` for a cold solve — winners are bit-identical either way, see
-/// [`exhaustive_forest_search_probed`]), and `evals` is incremented once per
-/// full candidate evaluation, so callers can measure how much of the space a
-/// warm start skipped.
+/// The body of [`minimize_period`], with a caller-provided evaluation cache
+/// (so a batch sweep — [`crate::orchestrator::solve_all`] — can share one
+/// memo), the execution strategy resolved once per solve, a warm-start
+/// incumbent seed and an evaluation counter: `incumbent_seed` pre-loads every
+/// exhaustive phase's incumbent (pass the value of a previous plan adapted to
+/// the instance; `∞` for a cold solve — winners are bit-identical either
+/// way, see [`exhaustive_forest_search_probed`]), and `evals` is incremented
+/// once per full candidate evaluation, so callers can measure how much of
+/// the space a warm start skipped.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn minimize_period_engine_seeded(
     app: &Application,
-    options: &MinPeriodOptions,
+    model: CommModel,
+    budget: &SearchBudget,
     exec: Exec,
     cache: &EvalCache,
     incumbent_seed: f64,
-    evals: &std::sync::atomic::AtomicUsize,
+    evals: &AtomicUsize,
     probe: Option<&StreamProbe>,
 ) -> CoreResult<MinPeriodResult> {
     let eval = |g: &ExecutionGraph, cutoff: f64| -> f64 {
-        evals.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        evaluate_period_bounded(
-            app,
-            g,
-            options.model,
-            options.evaluation,
-            cache,
-            cutoff,
-            exec.deadline,
-        )
+        evals.fetch_add(1, Ordering::Relaxed);
+        evaluate_period_bounded(app, g, model, budget, cache, cutoff, exec.deadline)
     };
     if !app.has_constraints() {
         // Both evaluations dominate the model's structural period bound, so
         // the incremental period bound is an admissible subtree pruner.
-        let prune = PartialPrune::Period(options.model);
+        let prune = PartialPrune::Period(model);
         // Symmetry reduction is engaged only when the candidate evaluation
         // is provably invariant under the matching relabelling group (the
         // bit-safety gate on `Symmetry`): the structural bounds are
@@ -949,22 +890,19 @@ pub(crate) fn minimize_period_engine_seeded(
         // follows node ids, so it engages the uniform-only reduction when
         // every forest's ordering search stays exhaustive and falls back to
         // the value-exact full enumeration on multi-class instances.
-        let symmetry = match options.evaluation {
-            PeriodEvaluation::LowerBound => Symmetry::Classes,
-            PeriodEvaluation::Orchestrated { exhaustive_limit } => match options.model {
-                CommModel::Overlap => Symmetry::Classes,
-                CommModel::OutOrder => Symmetry::Classes,
-                CommModel::InOrder
-                    if CanonicalSpace::max_forest_ordering_space(app.n()) <= exhaustive_limit =>
-                {
+        let symmetry = match (budget.period_evaluation, model) {
+            (PeriodEvaluation::Orchestrated, CommModel::InOrder) => {
+                if CanonicalSpace::max_forest_ordering_space(app.n()) <= budget.max_orderings {
                     Symmetry::Auto
+                } else {
+                    Symmetry::Full
                 }
-                CommModel::InOrder => Symmetry::Full,
-            },
+            }
+            _ => Symmetry::Classes,
         };
         if let Some(out) = exhaustive_forest_search_probed(
             app,
-            options.forest_enumeration_cap,
+            budget.max_graphs,
             exec,
             prune,
             symmetry,
@@ -994,7 +932,7 @@ pub(crate) fn minimize_period_engine_seeded(
             }
         }
     }
-    minperiod_local_search(app, options)
+    minperiod_local_search(app, model, budget)
 }
 
 #[cfg(test)]
@@ -1007,7 +945,7 @@ mod tests {
         // One strong filter in front of an expensive service: the optimal plan
         // chains them (OVERLAP model).
         let app = Application::independent(&[(1.0, 0.1), (10.0, 1.0)]);
-        let result = minimize_period(&app, &MinPeriodOptions::default()).unwrap();
+        let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive);
         assert!(result.graph.has_edge(0, 1));
         assert!((result.period - 1.0).abs() < 1e-9);
@@ -1025,7 +963,7 @@ mod tests {
             specs.push((2.0 / 0.9, 2.2));
         }
         let app = Application::independent(&specs);
-        let result = minimize_period(&app, &MinPeriodOptions::default()).unwrap();
+        let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive);
         assert!((result.period - 2.0).abs() < 1e-9);
         // The two filters must not be chained one behind the other: each keeps
@@ -1046,9 +984,8 @@ mod tests {
         ];
         for app in apps {
             for model in CommModel::ALL {
-                let options = MinPeriodOptions::for_model(model);
                 let eval = |g: &ExecutionGraph| {
-                    evaluate_period(&app, g, model, PeriodEvaluation::LowerBound)
+                    evaluate_period(&app, g, model, &SearchBudget::default())
                         .unwrap_or(f64::INFINITY)
                 };
                 let forest = exhaustive_forest_best(&app, eval).unwrap();
@@ -1059,7 +996,6 @@ mod tests {
                     forest.0,
                     dag.0
                 );
-                let _ = options;
             }
         }
     }
@@ -1067,10 +1003,10 @@ mod tests {
     #[test]
     fn local_search_matches_exhaustive_on_small_instances() {
         let app = Application::independent(&[(2.0, 0.5), (1.0, 2.0), (3.0, 0.8), (1.0, 0.6)]);
-        let options = MinPeriodOptions::default();
-        let exhaustive = minimize_period(&app, &options).unwrap();
+        let budget = SearchBudget::default();
+        let exhaustive = minimize_period(&app, CommModel::Overlap, &budget).unwrap();
         assert!(exhaustive.exhaustive);
-        let local = minperiod_local_search(&app, &options).unwrap();
+        let local = minperiod_local_search(&app, CommModel::Overlap, &budget).unwrap();
         assert!(local.period <= exhaustive.period * 1.2 + 1e-9);
         assert!(local.period >= exhaustive.period - 1e-9);
     }
@@ -1079,7 +1015,7 @@ mod tests {
     fn constraints_are_respected() {
         let mut app = Application::independent(&[(1.0, 0.5), (2.0, 0.5), (3.0, 1.0)]);
         app.add_constraint(2, 0).unwrap();
-        let result = minimize_period(&app, &MinPeriodOptions::default()).unwrap();
+        let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         result.graph.respects(&app).unwrap();
         // Service 0 must be (transitively) after service 2.
         assert!(result.graph.ancestors(0).contains(&2));
@@ -1147,14 +1083,14 @@ mod tests {
         // n^n = 10^10 parent functions dwarf the 2M cap, but the canonical
         // space holds 1 842 classes: the default budget is now exhaustive.
         let app = Application::independent(&[(3.0, 0.9); 10]);
-        let result = minimize_period(&app, &MinPeriodOptions::default()).unwrap();
+        let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive, "canonical space fits the default cap");
         // Sanity: never worse than the all-independent plan.
         let independent = evaluate_period(
             &app,
             &ExecutionGraph::new(10),
             CommModel::Overlap,
-            PeriodEvaluation::LowerBound,
+            &SearchBudget::default(),
         )
         .unwrap();
         assert!(result.period <= independent + 1e-9);
@@ -1178,28 +1114,21 @@ mod tests {
         )
         .unwrap();
         for threads in [2, 5] {
-            for split_levels in [1, 2] {
-                let exec = Exec {
-                    threads,
-                    deadline: None,
-                    split_levels,
-                };
-                let par = exhaustive_forest_search(
-                    &app,
-                    2_000_000,
-                    exec,
-                    PartialPrune::Period(CommModel::InOrder),
-                    Symmetry::Full,
-                    &eval,
-                )
-                .unwrap();
-                assert_eq!(serial.value, par.value, "x{threads} lvl{split_levels}");
-                assert_eq!(
-                    serial.graph.edges().collect::<Vec<_>>(),
-                    par.graph.edges().collect::<Vec<_>>(),
-                    "x{threads} lvl{split_levels}: winner"
-                );
-            }
+            let par = exhaustive_forest_search(
+                &app,
+                2_000_000,
+                Exec::threaded(threads),
+                PartialPrune::Period(CommModel::InOrder),
+                Symmetry::Full,
+                &eval,
+            )
+            .unwrap();
+            assert_eq!(serial.value, par.value, "x{threads}");
+            assert_eq!(
+                serial.graph.edges().collect::<Vec<_>>(),
+                par.graph.edges().collect::<Vec<_>>(),
+                "x{threads}: winner"
+            );
         }
     }
 
@@ -1207,17 +1136,14 @@ mod tests {
     fn orchestrated_evaluation_is_at_least_the_lower_bound() {
         let app = Application::independent(&[(1.0, 1.0); 4]);
         let g = ExecutionGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
+        let orchestrated = SearchBudget {
+            max_orderings: 1000,
+            ..SearchBudget::default()
+        }
+        .with_period_evaluation(PeriodEvaluation::Orchestrated);
         for model in CommModel::ALL {
-            let lb = evaluate_period(&app, &g, model, PeriodEvaluation::LowerBound).unwrap();
-            let orch = evaluate_period(
-                &app,
-                &g,
-                model,
-                PeriodEvaluation::Orchestrated {
-                    exhaustive_limit: 1000,
-                },
-            )
-            .unwrap();
+            let lb = evaluate_period(&app, &g, model, &SearchBudget::default()).unwrap();
+            let orch = evaluate_period(&app, &g, model, &orchestrated).unwrap();
             assert!(orch >= lb - 1e-9, "{model}: {orch} < {lb}");
         }
     }

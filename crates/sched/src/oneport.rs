@@ -256,34 +256,29 @@ pub fn oneport_period_search(
     style: OnePortStyle,
     exhaustive_limit: usize,
 ) -> CoreResult<OrderingSearchResult> {
-    oneport_period_search_exec(app, graph, style, exhaustive_limit, Exec::serial())
+    Ok(oneport_period_search_bounded(
+        app,
+        graph,
+        style,
+        exhaustive_limit,
+        Exec::serial(),
+        f64::INFINITY,
+    )?
+    .expect("an infinite cutoff never prunes the search"))
 }
 
-/// [`oneport_period_search`] under an explicit execution strategy: the
-/// exhaustive enumeration is split over `exec` worker threads (chunks in
-/// enumeration order, reduced with the serial tie-breaking rule, so the
-/// result is bit-identical to the serial run) and honours its deadline.
-pub fn oneport_period_search_exec(
-    app: &Application,
-    graph: &ExecutionGraph,
-    style: OnePortStyle,
-    exhaustive_limit: usize,
-    exec: Exec,
-) -> CoreResult<OrderingSearchResult> {
-    Ok(
-        oneport_period_search_bounded(app, graph, style, exhaustive_limit, exec, f64::INFINITY)?
-            .expect("an infinite cutoff never prunes the search"),
-    )
-}
-
-/// Branch-and-bound variant of [`oneport_period_search_exec`]: a `cutoff`
-/// carried in from an incumbent lets the search skip work that cannot
-/// matter.
+/// Branch-and-bound variant of [`oneport_period_search`] under an explicit
+/// execution strategy: the exhaustive enumeration is split over `exec`
+/// worker threads (chunks in enumeration order, reduced with the serial
+/// tie-breaking rule, so the result is bit-identical to the serial run) and
+/// honours its deadline, and a `cutoff` carried in from an incumbent lets
+/// the search skip work that cannot matter.
 ///
 /// Returns `Ok(None)` when the structural period lower bound of `graph`
 /// already exceeds `cutoff` — no ordering of this graph can improve the
 /// caller's incumbent.  Otherwise the result is exactly what the unbounded
-/// search would have returned (value and winning ordering alike).
+/// search would have returned (value and winning ordering alike); an
+/// infinite cutoff never returns `None`.
 pub fn oneport_period_search_bounded(
     app: &Application,
     graph: &ExecutionGraph,

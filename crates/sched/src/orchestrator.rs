@@ -1,11 +1,7 @@
 //! The unified solver entry point: one [`solve`] for every communication
 //! model and objective.
 //!
-//! Historically each (model × objective) pair had its own entry point with
-//! its own option struct and its own ad-hoc enumeration caps
-//! (`MinPeriodOptions`, `MinLatencyOptions`, `OutOrderOptions`, bare
-//! `exhaustive_limit` arguments, …).  This module replaces that surface with
-//! three small types:
+//! Three small types describe every solve:
 //!
 //! * [`Problem`] — *what* to solve: an application, a communication model
 //!   ([`CommModel`]), an [`Objective`] (MINPERIOD or MINLATENCY) and
@@ -49,13 +45,13 @@ use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, OperationList
 
 use crate::engine::EvalCache;
 use crate::latency::{
-    latency_lower_bound, multiport_proportional_latency, oneport_latency_search_exec,
+    latency_lower_bound, multiport_proportional_latency, oneport_latency_search_bounded,
 };
-use crate::minlatency::{minimize_latency_engine_seeded, MinLatencyOptions};
-use crate::minperiod::{minimize_period_engine_seeded, MinPeriodOptions, PeriodEvaluation};
-use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_exec, OnePortStyle};
+use crate::minlatency::minimize_latency_engine_seeded;
+use crate::minperiod::{minimize_period_engine_seeded, PeriodEvaluation};
+use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_bounded, OnePortStyle};
 use crate::orderings::CommOrderings;
-use crate::outorder::{outorder_period_search_exec, OutOrderOptions};
+use crate::outorder::outorder_period_search_bounded;
 use crate::overlap::overlap_period_oplist;
 use crate::par::Exec;
 
@@ -120,12 +116,10 @@ impl<'a> Problem<'a> {
     }
 }
 
-/// One shared budget for every enumeration a solve may perform.
-///
-/// The default reproduces the effort of the legacy per-model entry points
-/// (`MinPeriodOptions::default()`, `MinLatencyOptions::default()`,
-/// `OutOrderOptions::default()`), so `solve(&problem, &SearchBudget::default())`
-/// returns bit-identical values to the code it replaces.
+/// One shared budget for every enumeration a solve may perform — the only
+/// configuration of the plan searches ([`crate::minperiod::minimize_period`],
+/// [`crate::minlatency::minimize_latency`]), the OUTORDER scheduler
+/// ([`crate::outorder::outorder_period_search`]) and [`solve`] itself.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SearchBudget {
     /// Bound on the communication-ordering space enumerated exhaustively;
@@ -143,20 +137,17 @@ pub struct SearchBudget {
     /// enumerations stop and the best candidate found so far is returned with
     /// `exhaustive == false`; the OUTORDER cyclic backtracker and its
     /// bisection refinement honour it too (on top of
-    /// [`SearchBudget::outorder_node_budget`]).
+    /// [`SearchBudget::outorder_node_budget`]).  A limit too large to
+    /// represent as a deadline (e.g. `Duration::MAX`) means no limit.
     pub time_limit: Option<Duration>,
     /// Worker threads for the exhaustive searches; `0` = available
     /// parallelism, `1` = serial.  Results are identical for every value.
     pub threads: usize,
-    /// Passes of the hill-climbing local search used beyond `max_graphs`.
-    pub local_search_passes: usize,
     /// How candidate graphs are valued during a MINPERIOD plan search
     /// (cheap lower bound vs full orchestration of every candidate).
     pub period_evaluation: PeriodEvaluation,
-    /// Backtracking-node budget of the OUTORDER cyclic scheduler.
+    /// Backtracking-node budget of each OUTORDER cyclic-scheduler call.
     pub outorder_node_budget: usize,
-    /// Bisection steps of the OUTORDER period refinement.
-    pub outorder_refinement_steps: usize,
     /// Instances up to this size also search all DAGs for MINLATENCY (the
     /// latency optimum may require a join, unlike the period).  Hard-capped
     /// at [`crate::minperiod::DAG_ENUMERATION_HARD_MAX_N`] by the engine.
@@ -170,10 +161,8 @@ impl Default for SearchBudget {
             max_graphs: 2_000_000,
             time_limit: None,
             threads: 1,
-            local_search_passes: 32,
             period_evaluation: PeriodEvaluation::LowerBound,
             outorder_node_budget: 200_000,
-            outorder_refinement_steps: 8,
             dag_enumeration_max_n: 5,
         }
     }
@@ -217,40 +206,12 @@ impl SearchBudget {
         self
     }
 
-    /// Materialises the execution strategy (resolves the deadline now).
-    fn exec(&self) -> Exec {
+    /// Materialises the execution strategy (resolves the deadline now; a
+    /// time limit past the clock's range resolves to no deadline).
+    pub(crate) fn exec(&self) -> Exec {
         Exec {
             threads: self.threads,
-            deadline: self.time_limit.map(|d| Instant::now() + d),
-            split_levels: 0, // auto: two-level (n²) tasks when fanning out
-        }
-    }
-
-    fn minperiod_options(&self, model: CommModel) -> MinPeriodOptions {
-        MinPeriodOptions {
-            model,
-            evaluation: self.period_evaluation,
-            forest_enumeration_cap: self.max_graphs,
-            local_search_passes: self.local_search_passes,
-        }
-    }
-
-    fn minlatency_options(&self, model: CommModel) -> MinLatencyOptions {
-        MinLatencyOptions {
-            model,
-            ordering_exhaustive_limit: self.max_orderings,
-            forest_enumeration_cap: self.max_graphs,
-            local_search_passes: self.local_search_passes,
-            dag_enumeration_max_n: self.dag_enumeration_max_n,
-        }
-    }
-
-    fn outorder_options(&self) -> OutOrderOptions {
-        OutOrderOptions {
-            node_budget: self.outorder_node_budget,
-            refinement_steps: self.outorder_refinement_steps,
-            inorder_exhaustive_limit: self.max_orderings,
-            deadline: None, // supplied per solve through `Exec`
+            deadline: self.time_limit.and_then(|d| Instant::now().checked_add(d)),
         }
     }
 }
@@ -296,7 +257,8 @@ pub struct Solution {
 /// three communication models for both MINPERIOD and MINLATENCY, with or
 /// without a fixed execution graph.
 pub fn solve(problem: &Problem<'_>, budget: &SearchBudget) -> CoreResult<Solution> {
-    solve_with_cache(problem, budget, &EvalCache::new(problem.app))
+    let cache = EvalCache::new(problem.app);
+    solve_warm(problem, budget, &cache, None).map(|(solution, _)| solution)
 }
 
 /// Solves a whole model × objective sweep over one application, sharing a
@@ -316,23 +278,10 @@ pub fn solve_all(
     requests
         .iter()
         .map(|&(model, objective)| {
-            solve_with_cache(&Problem::new(app, model, objective), budget, &cache)
+            let problem = Problem::new(app, model, objective);
+            solve_warm(&problem, budget, &cache, None).map(|(solution, _)| solution)
         })
         .collect()
-}
-
-/// [`solve`] with a caller-provided evaluation cache: the building block of
-/// every batch path (`solve_all` shares one cache across a model ×
-/// objective sweep; the serving layer `fsw_serve` shares one per
-/// application fingerprint across a batch's cold solves, and its online
-/// sessions retain one across re-plans of an unchanged instance).  Results
-/// are bit-identical to [`solve`].
-pub fn solve_with_cache(
-    problem: &Problem<'_>,
-    budget: &SearchBudget,
-    cache: &EvalCache,
-) -> CoreResult<Solution> {
-    solve_warm(problem, budget, cache, None).map(|(solution, _)| solution)
 }
 
 /// Telemetry of one plan solve, for the serving layer and its tests.
@@ -357,19 +306,23 @@ pub struct SolveStats {
     pub warm_value: Option<f64>,
 }
 
-/// [`solve_with_cache`] with an optional **warm start**: `warm` is a
-/// previously optimal execution graph (e.g. the tenant's plan before a
-/// service arrived, adapted to the current service set).  Its value on the
-/// *current* instance is a feasible upper bound on the optimum, so the plan
-/// search's incumbent is seeded with it and the enumeration prunes the
+/// [`solve`] with a caller-provided evaluation cache and an optional **warm
+/// start** — the building block of every batch path ([`solve_all`] shares
+/// one cache across a model × objective sweep; the serving layer `fsw_serve`
+/// shares one per application fingerprint across a batch's cold solves, and
+/// its online sessions retain one across re-plans of an unchanged instance).
+/// `warm` is a previously optimal execution graph (e.g. the tenant's plan
+/// before a service arrived, adapted to the current service set).  Its value
+/// on the *current* instance is a feasible upper bound on the optimum, so the
+/// plan search's incumbent is seeded with it and the enumeration prunes the
 /// hopeless region from the first candidate on — the online re-planning
 /// entry point of the serving layer.
 ///
-/// The returned solution is **bit-identical** to a cold
-/// [`solve_with_cache`]: seeding never prunes a candidate that ties the
-/// optimum (strict clearance only), so the first-minimum winner and its
-/// value are unchanged; only [`SolveStats::evaluated`] shrinks.  An
-/// infeasible or wrong-sized `warm` graph is ignored.
+/// The returned solution is **bit-identical** to a cold [`solve`]: seeding
+/// never prunes a candidate that ties the optimum (strict clearance only),
+/// so the first-minimum winner and its value are unchanged; only
+/// [`SolveStats::evaluated`] shrinks.  An infeasible or wrong-sized `warm`
+/// graph is ignored.
 pub fn solve_warm(
     problem: &Problem<'_>,
     budget: &SearchBudget,
@@ -384,9 +337,9 @@ pub fn solve_warm(
 /// plan search, `solve.orchestrate` — scheduling the winning graph, plus
 /// the engine-stage spans `engine.shape_stream` / `engine.expand` /
 /// `engine.certify` inside the streamed walk) and publishes the plan
-/// search's [`StreamStats`] into `engine.stream.*` instruments.  The
-/// solve itself is untouched — instrumented and plain runs return
-/// bit-identical solutions and stats.
+/// search's [`StreamStats`](crate::engine::frontier::StreamStats) into
+/// `engine.stream.*` instruments.  The solve itself is untouched —
+/// instrumented and plain runs return bit-identical solutions and stats.
 pub fn solve_warm_observed(
     problem: &Problem<'_>,
     budget: &SearchBudget,
@@ -425,13 +378,13 @@ pub fn solve_warm_observed(
             orchestrated(&|| orchestrate_latency(problem.app, problem.model, graph, budget, exec))?
         }
         (None, Objective::MinPeriod) => {
-            let options = budget.minperiod_options(problem.model);
             let seed = warm_seed(problem, budget, warm);
             stats.warm_value = seed;
             let searched = search_span.as_ref().map(|t| t.start());
             let result = minimize_period_engine_seeded(
                 problem.app,
-                &options,
+                problem.model,
+                budget,
                 exec,
                 cache,
                 seed.unwrap_or(f64::INFINITY),
@@ -442,7 +395,7 @@ pub fn solve_warm_observed(
             let mut solution = orchestrated(&|| {
                 orchestrate_period(problem.app, problem.model, &result.graph, budget, exec)
             })?;
-            // Report the search's own value (bit-identical to the legacy
+            // Report the search's own value (bit-identical to
             // `minimize_period`); the orchestrated schedule stays available
             // through `oplist`.
             solution.value = result.period;
@@ -450,13 +403,13 @@ pub fn solve_warm_observed(
             solution
         }
         (None, Objective::MinLatency) => {
-            let options = budget.minlatency_options(problem.model);
             let seed = warm_seed(problem, budget, warm);
             stats.warm_value = seed;
             let searched = search_span.as_ref().map(|t| t.start());
             let result = minimize_latency_engine_seeded(
                 problem.app,
-                &options,
+                problem.model,
+                budget,
                 exec,
                 cache,
                 seed.unwrap_or(f64::INFINITY),
@@ -500,10 +453,7 @@ fn warm_seed(
     // search's own measure, so refuse to seed that path.
     if problem.objective == Objective::MinPeriod
         && problem.model == CommModel::OutOrder
-        && matches!(
-            budget.period_evaluation,
-            PeriodEvaluation::Orchestrated { .. }
-        )
+        && budget.period_evaluation == PeriodEvaluation::Orchestrated
     {
         return None;
     }
@@ -520,19 +470,12 @@ fn warm_seed(
         return None;
     }
     let value = match problem.objective {
-        Objective::MinPeriod => crate::minperiod::evaluate_period(
-            problem.app,
-            graph,
-            problem.model,
-            budget.period_evaluation,
-        )
-        .ok()?,
-        Objective::MinLatency => crate::minlatency::evaluate_latency(
-            problem.app,
-            graph,
-            &budget.minlatency_options(problem.model),
-        )
-        .ok()?,
+        Objective::MinPeriod => {
+            crate::minperiod::evaluate_period(problem.app, graph, problem.model, budget).ok()?
+        }
+        Objective::MinLatency => {
+            crate::minlatency::evaluate_latency(problem.app, graph, problem.model, budget).ok()?
+        }
     };
     value.is_finite().then_some(value)
 }
@@ -553,13 +496,15 @@ fn orchestrate_period(
             (oplist.period(), Some(oplist), None, true)
         }
         CommModel::InOrder => {
-            let search = oneport_period_search_exec(
+            let search = oneport_period_search_bounded(
                 app,
                 graph,
                 OnePortStyle::InOrder,
                 budget.max_orderings,
                 exec,
-            )?;
+                f64::INFINITY,
+            )?
+            .expect("an infinite cutoff never prunes the search");
             let oplist = inorder_oplist_for_orderings(app, graph, &search.orderings)?;
             (
                 search.period,
@@ -569,7 +514,8 @@ fn orchestrate_period(
             )
         }
         CommModel::OutOrder => {
-            let search = outorder_period_search_exec(app, graph, &budget.outorder_options(), exec)?;
+            let search = outorder_period_search_bounded(app, graph, budget, exec, f64::INFINITY)?
+                .expect("an infinite cutoff never prunes");
             (search.period, Some(search.oplist), None, search.optimal)
         }
     };
@@ -594,7 +540,9 @@ fn orchestrate_latency(
     exec: Exec,
 ) -> CoreResult<Solution> {
     let lower_bound = latency_lower_bound(app, graph)?;
-    let oneport = oneport_latency_search_exec(app, graph, budget.max_orderings, exec)?;
+    let oneport =
+        oneport_latency_search_bounded(app, graph, budget.max_orderings, exec, f64::INFINITY)?
+            .expect("an infinite cutoff never prunes the search");
     let (value, oplist, orderings, exhaustive) = if model == CommModel::Overlap {
         // Bounded multi-port bandwidth sharing can strictly beat every
         // one-port schedule (counter-example B.2).
@@ -672,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn fixed_graph_matches_legacy_entry_points() {
+    fn fixed_graph_matches_the_ordering_searches() {
         let (app, g) = section23();
         let budget = SearchBudget::default();
         let inorder = solve(
@@ -680,42 +628,42 @@ mod tests {
             &budget,
         )
         .unwrap();
-        let legacy = oneport_period_search(&app, &g, OnePortStyle::InOrder, 5_000).unwrap();
-        assert_eq!(inorder.value, legacy.period);
-        assert_eq!(inorder.orderings.as_ref(), Some(&legacy.orderings));
+        let direct = oneport_period_search(&app, &g, OnePortStyle::InOrder, 5_000).unwrap();
+        assert_eq!(inorder.value, direct.period);
+        assert_eq!(inorder.orderings.as_ref(), Some(&direct.orderings));
 
         let outorder = solve(
             &Problem::on_graph(&app, CommModel::OutOrder, Objective::MinPeriod, &g),
             &budget,
         )
         .unwrap();
-        let legacy = outorder_period_search(&app, &g, &OutOrderOptions::default()).unwrap();
-        assert_eq!(outorder.value, legacy.period);
+        let direct = outorder_period_search(&app, &g, &budget).unwrap();
+        assert_eq!(outorder.value, direct.period);
 
         let latency = solve(
             &Problem::on_graph(&app, CommModel::InOrder, Objective::MinLatency, &g),
             &budget,
         )
         .unwrap();
-        let legacy = oneport_latency_search(&app, &g, 5_000).unwrap();
-        assert_eq!(latency.value, legacy.latency);
+        let direct = oneport_latency_search(&app, &g, 5_000).unwrap();
+        assert_eq!(latency.value, direct.latency);
     }
 
     #[test]
-    fn plan_search_matches_legacy_solvers() {
+    fn plan_search_matches_minimize_period_and_latency() {
         let app = Application::independent(&[(2.0, 0.5), (1.0, 2.0), (3.0, 0.8), (1.0, 0.6)]);
         let budget = SearchBudget::default();
         for model in CommModel::ALL {
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinPeriod), &budget).unwrap();
-            let legacy = minimize_period(&app, &MinPeriodOptions::for_model(model)).unwrap();
-            assert_eq!(solution.value, legacy.period, "{model}");
-            assert_eq!(solution.graph.edge_count(), legacy.graph.edge_count());
+            let direct = minimize_period(&app, model, &budget).unwrap();
+            assert_eq!(solution.value, direct.period, "{model}");
+            assert_eq!(solution.graph.edge_count(), direct.graph.edge_count());
 
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinLatency), &budget).unwrap();
-            let legacy = minimize_latency(&app, &MinLatencyOptions::for_model(model)).unwrap();
-            assert_eq!(solution.value, legacy.latency, "{model}");
+            let direct = minimize_latency(&app, model, &budget).unwrap();
+            assert_eq!(solution.value, direct.latency, "{model}");
         }
     }
 
@@ -759,6 +707,29 @@ mod tests {
         assert!(solution.value >= 23.0 / 3.0 - 1e-9);
         // …but cannot claim optimality.
         assert!(!solution.exhaustive);
+    }
+
+    #[test]
+    fn unrepresentable_time_limit_means_no_limit() {
+        // `Instant + Duration::MAX` overflows: the deadline must resolve to
+        // "none", not panic, and the solve must match the unlimited one.
+        let app = Application::independent(&[(2.0, 0.5), (1.0, 2.0), (3.0, 0.8), (1.0, 0.6)]);
+        let unlimited = SearchBudget::default();
+        let huge = SearchBudget::default().with_time_limit(Duration::MAX);
+        for model in CommModel::ALL {
+            for objective in [Objective::MinPeriod, Objective::MinLatency] {
+                let problem = Problem::new(&app, model, objective);
+                let a = solve(&problem, &unlimited).unwrap();
+                let b = solve(&problem, &huge).unwrap();
+                assert_eq!(a.value.to_bits(), b.value.to_bits(), "{model} {objective}");
+                assert_eq!(
+                    a.graph.edges().collect::<Vec<_>>(),
+                    b.graph.edges().collect::<Vec<_>>(),
+                    "{model} {objective}: winner"
+                );
+                assert_eq!(a.exhaustive, b.exhaustive);
+            }
+        }
     }
 
     #[test]

@@ -47,37 +47,13 @@ use fsw_core::{
 };
 
 use crate::engine::prune_threshold;
-use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_exec, OnePortStyle};
+use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_bounded, OnePortStyle};
+use crate::orchestrator::SearchBudget;
 use crate::par::Exec;
 
-/// Options controlling the `OUTORDER` search.
-#[derive(Clone, Copy, Debug)]
-pub struct OutOrderOptions {
-    /// Maximum number of backtracking nodes explored per feasibility call.
-    pub node_budget: usize,
-    /// Number of intermediate candidate periods tried between the lower bound
-    /// and the `INORDER` fallback when the lower bound is infeasible.
-    pub refinement_steps: usize,
-    /// Ordering-search budget used for the `INORDER` fallback.
-    pub inorder_exhaustive_limit: usize,
-    /// Optional wall-clock deadline: the backtracking scheduler checks it
-    /// every few hundred nodes and gives up the current feasibility call once
-    /// it has passed (treated like an exhausted node budget), so a
-    /// [`crate::orchestrator::SearchBudget::time_limit`] now bounds OUTORDER
-    /// solves too.
-    pub deadline: Option<Instant>,
-}
-
-impl Default for OutOrderOptions {
-    fn default() -> Self {
-        OutOrderOptions {
-            node_budget: 200_000,
-            refinement_steps: 8,
-            inorder_exhaustive_limit: 20_000,
-            deadline: None,
-        }
-    }
-}
+/// Number of intermediate candidate periods the bisection tries between the
+/// lower bound and the `INORDER` fallback when the lower bound is infeasible.
+const REFINEMENT_STEPS: usize = 8;
 
 /// Result of an `OUTORDER` period search.
 #[derive(Clone, Debug)]
@@ -153,38 +129,39 @@ fn build_ops(app: &Application, graph: &ExecutionGraph) -> CoreResult<Vec<Op>> {
 /// Attempts to build a valid `OUTORDER` operation list with period exactly `lambda`.
 ///
 /// Returns `Ok(None)` when the backtracking search (limited to
-/// `opts.node_budget` nodes) finds no schedule.
+/// [`SearchBudget::outorder_node_budget`] nodes and the budget's time limit)
+/// finds no schedule.
 pub fn outorder_schedule_at(
     app: &Application,
     graph: &ExecutionGraph,
     lambda: f64,
-    opts: &OutOrderOptions,
-) -> CoreResult<Option<OperationList>> {
-    outorder_schedule_at_warm(app, graph, lambda, opts, None)
-}
-
-/// [`outorder_schedule_at`] with optional warm-start hints: `warm[i]` is a
-/// preferred start time for operation `i` of the [`build_ops`] sequence
-/// (typically the placement found by a previous probe at a nearby period).
-fn outorder_schedule_at_warm(
-    app: &Application,
-    graph: &ExecutionGraph,
-    lambda: f64,
-    opts: &OutOrderOptions,
-    warm: Option<&[Option<f64>]>,
+    budget: &SearchBudget,
 ) -> CoreResult<Option<OperationList>> {
     let ops = build_ops(app, graph)?;
-    Ok(schedule_prepared(graph.n(), &ops, lambda, opts, warm))
+    let deadline = budget.exec().deadline;
+    Ok(schedule_prepared(
+        graph.n(),
+        &ops,
+        lambda,
+        budget,
+        deadline,
+        None,
+    ))
 }
 
 /// The backtracking feasibility search itself, over a pre-built operation
 /// sequence — the bisection driver builds the (graph-determined, immutable)
-/// sequence once and probes many periods against it.
+/// sequence once and probes many periods against it.  The search explores
+/// at most [`SearchBudget::outorder_node_budget`] nodes and gives up once
+/// `deadline` has passed (checked every few hundred nodes).  `warm[i]` is a
+/// preferred start time for operation `i` (typically the placement found by
+/// a previous probe at a nearby period).
 fn schedule_prepared(
     n: usize,
     ops: &[Op],
     lambda: f64,
-    opts: &OutOrderOptions,
+    budget: &SearchBudget,
+    deadline: Option<Instant>,
     warm: Option<&[Option<f64>]>,
 ) -> Option<OperationList> {
     // Any single operation longer than the period is an immediate contradiction.
@@ -210,8 +187,8 @@ fn schedule_prepared(
         comm_end: std::collections::BTreeMap::new(),
         placements: Vec::new(),
         nodes: 0,
-        budget: opts.node_budget,
-        deadline: opts.deadline,
+        budget: budget.outorder_node_budget,
+        deadline,
         warm: warm.map(|w| w.to_vec()).unwrap_or_default(),
         slot_scratch: Vec::new(),
     };
@@ -457,36 +434,28 @@ fn schedule_ops(ops: &[Op], idx: usize, state: &mut SearchState) -> bool {
 /// Searches for the smallest `OUTORDER` period for the given execution graph.
 ///
 /// Tries the lower bound first (optimal when it succeeds); otherwise bisects
-/// between the lower bound and an `INORDER` fallback schedule, keeping the
-/// best feasible operation list found.
+/// between the lower bound and an `INORDER` fallback schedule (searched over
+/// at most [`SearchBudget::max_orderings`] orderings), keeping the best
+/// feasible operation list found.  Every backtracking call is bounded by
+/// [`SearchBudget::outorder_node_budget`]; the budget's time limit bounds the
+/// backtracker and the refinement — when it passes, the best feasible
+/// operation list found so far is returned (flagged non-optimal unless it
+/// already reached the lower bound).
 pub fn outorder_period_search(
     app: &Application,
     graph: &ExecutionGraph,
-    opts: &OutOrderOptions,
-) -> CoreResult<OutOrderResult> {
-    outorder_period_search_exec(app, graph, opts, Exec::serial())
-}
-
-/// [`outorder_period_search`] under an explicit execution strategy: the
-/// `INORDER` fallback search fans out over `exec` worker threads, and
-/// `exec.deadline` (combined with any [`OutOrderOptions::deadline`]) bounds
-/// the backtracking scheduler and the bisection refinement — when it passes,
-/// the best feasible operation list found so far is returned (flagged
-/// non-optimal unless it already reached the lower bound).
-pub fn outorder_period_search_exec(
-    app: &Application,
-    graph: &ExecutionGraph,
-    opts: &OutOrderOptions,
-    exec: Exec,
+    budget: &SearchBudget,
 ) -> CoreResult<OutOrderResult> {
     Ok(
-        outorder_period_search_bounded(app, graph, opts, exec, f64::INFINITY)?
+        outorder_period_search_bounded(app, graph, budget, budget.exec(), f64::INFINITY)?
             .expect("an infinite cutoff never prunes"),
     )
 }
 
-/// The incumbent-aware variant of [`outorder_period_search_exec`], the
-/// OUTORDER evaluation of the branch-and-bound plan searches.
+/// The incumbent-aware variant of [`outorder_period_search`], the OUTORDER
+/// evaluation of the branch-and-bound plan searches.  `budget` supplies the
+/// enumeration caps; `exec` the worker threads of the `INORDER` fallback and
+/// the deadline, resolved once by the caller.
 ///
 /// `cutoff` is the shared incumbent at call time.  The contract mirrors the
 /// other bounded searches: the result is the *exact* value of the unbounded
@@ -502,8 +471,7 @@ pub fn outorder_period_search_exec(
 /// * the bisection keeps the invariant that its final value is at least
 ///   `lo`; once `lo` clears the cutoff (and no feasible period `<= cutoff`
 ///   was found), every remaining probe is provably wasted and the
-///   refinement stops — the blind fixed-step probing of the legacy search
-///   is replaced by these cutoff-seeded probes.
+///   refinement stops.
 ///
 /// Each probe is warm-started from the previous feasibility witness (the
 /// `INORDER` fallback schedule for the first one), so successive probes
@@ -511,17 +479,10 @@ pub fn outorder_period_search_exec(
 pub fn outorder_period_search_bounded(
     app: &Application,
     graph: &ExecutionGraph,
-    opts: &OutOrderOptions,
+    budget: &SearchBudget,
     exec: Exec,
     cutoff: f64,
 ) -> CoreResult<Option<OutOrderResult>> {
-    let opts = OutOrderOptions {
-        deadline: match (opts.deadline, exec.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        },
-        ..*opts
-    };
     let lower_bound = outorder_period_lower_bound(app, graph)?;
     let lb = if lower_bound > 0.0 { lower_bound } else { 1.0 };
     if lb > prune_threshold(cutoff) {
@@ -532,7 +493,7 @@ pub fn outorder_period_search_bounded(
     // and probe every candidate period against it.
     let ops = build_ops(app, graph)?;
     let n = graph.n();
-    if let Some(oplist) = schedule_prepared(n, &ops, lb, &opts, None) {
+    if let Some(oplist) = schedule_prepared(n, &ops, lb, budget, exec.deadline, None) {
         return Ok(Some(OutOrderResult {
             period: lb,
             oplist,
@@ -541,13 +502,15 @@ pub fn outorder_period_search_bounded(
         }));
     }
     // Fallback: the best INORDER schedule found is always OUTORDER-feasible.
-    let inorder = oneport_period_search_exec(
+    let inorder = oneport_period_search_bounded(
         app,
         graph,
         OnePortStyle::InOrder,
-        opts.inorder_exhaustive_limit,
+        budget.max_orderings,
         exec,
-    )?;
+        f64::INFINITY,
+    )?
+    .expect("an infinite cutoff never prunes the search");
     let mut best_period = inorder.period;
     let mut best_oplist = inorder_oplist_for_orderings(app, graph, &inorder.orderings)?;
     // Bisection between the lower bound and the fallback, warm-starting each
@@ -555,11 +518,11 @@ pub fn outorder_period_search_bounded(
     let mut warm = warm_hints(&ops, &best_oplist);
     let mut lo = lb;
     let mut hi = best_period;
-    for _ in 0..opts.refinement_steps {
+    for _ in 0..REFINEMENT_STEPS {
         if hi - lo <= 1e-9 * hi.max(1.0) {
             break;
         }
-        if opts.deadline.is_some_and(|d| Instant::now() >= d) {
+        if exec.expired() {
             break;
         }
         if lo > prune_threshold(cutoff) && best_period > prune_threshold(cutoff) {
@@ -569,7 +532,7 @@ pub fn outorder_period_search_bounded(
             break;
         }
         let mid = 0.5 * (lo + hi);
-        match schedule_prepared(n, &ops, mid, &opts, Some(&warm)) {
+        match schedule_prepared(n, &ops, mid, budget, exec.deadline, Some(&warm)) {
             Some(oplist) => {
                 warm = warm_hints(&ops, &oplist);
                 best_period = mid;
@@ -605,6 +568,15 @@ mod tests {
     use super::*;
     use fsw_core::validate_oplist;
 
+    /// The default budget with the 20 000-ordering `INORDER` fallback cap
+    /// these tests were written against.
+    fn budget() -> SearchBudget {
+        SearchBudget {
+            max_orderings: 20_000,
+            ..SearchBudget::default()
+        }
+    }
+
     fn section23() -> (Application, ExecutionGraph) {
         let app = Application::independent(&[(4.0, 1.0); 5]);
         let g = ExecutionGraph::from_edges(5, &[(0, 1), (0, 3), (1, 2), (2, 4), (3, 4)]).unwrap();
@@ -614,7 +586,7 @@ mod tests {
     #[test]
     fn section23_outorder_reaches_the_lower_bound_of_7() {
         let (app, g) = section23();
-        let result = outorder_period_search(&app, &g, &OutOrderOptions::default()).unwrap();
+        let result = outorder_period_search(&app, &g, &budget()).unwrap();
         assert_eq!(result.lower_bound, 7.0);
         assert!(result.optimal, "expected the bound 7 to be reached");
         assert!((result.period - 7.0).abs() < 1e-9);
@@ -626,7 +598,7 @@ mod tests {
     fn chain_outorder_equals_lower_bound() {
         let app = Application::independent(&[(2.0, 0.5), (3.0, 2.0), (1.0, 1.0)]);
         let g = ExecutionGraph::chain_of(3, &[0, 1, 2]).unwrap();
-        let result = outorder_period_search(&app, &g, &OutOrderOptions::default()).unwrap();
+        let result = outorder_period_search(&app, &g, &budget()).unwrap();
         assert!(result.optimal);
         validate_oplist(&app, &g, &result.oplist, CommModel::OutOrder).unwrap();
     }
@@ -635,13 +607,11 @@ mod tests {
     fn infeasible_period_rejected() {
         let (app, g) = section23();
         // Below the largest single operation (a computation of 4) nothing fits.
-        assert!(
-            outorder_schedule_at(&app, &g, 3.5, &OutOrderOptions::default())
-                .unwrap()
-                .is_none()
-        );
+        assert!(outorder_schedule_at(&app, &g, 3.5, &budget())
+            .unwrap()
+            .is_none());
         // At the lower bound a schedule exists.
-        let ol = outorder_schedule_at(&app, &g, 7.0, &OutOrderOptions::default())
+        let ol = outorder_schedule_at(&app, &g, 7.0, &budget())
             .unwrap()
             .unwrap();
         validate_oplist(&app, &g, &ol, CommModel::OutOrder).unwrap();
@@ -651,7 +621,7 @@ mod tests {
     fn schedules_at_larger_periods_also_exist() {
         let (app, g) = section23();
         for lambda in [8.0, 10.0, 21.0] {
-            let ol = outorder_schedule_at(&app, &g, lambda, &OutOrderOptions::default())
+            let ol = outorder_schedule_at(&app, &g, lambda, &budget())
                 .unwrap()
                 .unwrap_or_else(|| panic!("no schedule at {lambda}"));
             validate_oplist(&app, &g, &ol, CommModel::OutOrder)
@@ -662,14 +632,14 @@ mod tests {
     #[test]
     fn bounded_search_never_prunes_a_reachable_optimum() {
         let (app, g) = section23();
-        let opts = OutOrderOptions::default();
-        let unbounded = outorder_period_search(&app, &g, &opts).unwrap();
+        let budget = budget();
+        let unbounded = outorder_period_search(&app, &g, &budget).unwrap();
         // A cutoff at or above the true value must return it exactly.
         for slack in [0.0, 0.5, 100.0] {
             let bounded = outorder_period_search_bounded(
                 &app,
                 &g,
-                &opts,
+                &budget,
                 Exec::serial(),
                 unbounded.period + slack,
             )
@@ -680,16 +650,21 @@ mod tests {
             validate_oplist(&app, &g, &bounded.oplist, CommModel::OutOrder).unwrap();
         }
         // A cutoff below the structural lower bound prunes outright…
-        let pruned =
-            outorder_period_search_bounded(&app, &g, &opts, Exec::serial(), unbounded.lower_bound)
-                .unwrap();
+        let pruned = outorder_period_search_bounded(
+            &app,
+            &g,
+            &budget,
+            Exec::serial(),
+            unbounded.lower_bound,
+        )
+        .unwrap();
         // …only when the bound strictly clears it (here period == lb == 7,
         // so cutoff == lb must NOT prune).
         assert!(pruned.is_some());
         let pruned = outorder_period_search_bounded(
             &app,
             &g,
-            &opts,
+            &budget,
             Exec::serial(),
             unbounded.lower_bound - 1.0,
         )
@@ -707,23 +682,24 @@ mod tests {
         // deterministic setting in which the cutoff abort engages.  Aborted
         // refinements must only ever report values above the cutoff.
         let (app, g) = section23();
-        let opts = OutOrderOptions {
-            node_budget: 1,
-            ..OutOrderOptions::default()
+        let budget = SearchBudget {
+            outorder_node_budget: 1,
+            ..budget()
         };
-        let unbounded = outorder_period_search(&app, &g, &opts).unwrap();
+        let unbounded = outorder_period_search(&app, &g, &budget).unwrap();
         assert!(unbounded.period > unbounded.lower_bound + 1e-9);
         // Cutoff halfway between lb and the optimum: the probe ladder may
         // stop early, but whatever comes back must exceed the cutoff (the
         // cache contract) — and a cutoff above the optimum must be exact.
         let cutoff = 0.5 * (unbounded.lower_bound + unbounded.period);
-        match outorder_period_search_bounded(&app, &g, &opts, Exec::serial(), cutoff).unwrap() {
+        match outorder_period_search_bounded(&app, &g, &budget, Exec::serial(), cutoff).unwrap() {
             None => {}
             Some(result) => assert!(result.period > cutoff, "faithful above-cutoff value"),
         }
-        let exact = outorder_period_search_bounded(&app, &g, &opts, Exec::serial(), f64::INFINITY)
-            .unwrap()
-            .unwrap();
+        let exact =
+            outorder_period_search_bounded(&app, &g, &budget, Exec::serial(), f64::INFINITY)
+                .unwrap()
+                .unwrap();
         assert_eq!(exact.period, unbounded.period);
     }
 
@@ -732,7 +708,7 @@ mod tests {
         let app = Application::independent(&[(1.0, 1.0); 5]);
         let g = ExecutionGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
             .unwrap();
-        let result = outorder_period_search(&app, &g, &OutOrderOptions::default()).unwrap();
+        let result = outorder_period_search(&app, &g, &budget()).unwrap();
         validate_oplist(&app, &g, &result.oplist, CommModel::OutOrder).unwrap();
         assert!(result.period >= result.lower_bound - 1e-9);
     }

@@ -251,7 +251,8 @@ impl AdmissionPolicy {
             };
         }
         let classes = WeightClasses::of(app);
-        let pricing_deadline = Instant::now() + self.pricing_budget;
+        // A budget past the clock's range means no deadline.
+        let pricing_deadline = Instant::now().checked_add(self.pricing_budget);
         let ordering_weight = ordering_weight(n, model, objective, budget);
         // Count exactly up to the first quantity that forces a rejection;
         // saturate beyond it (the decision is the same either way).
@@ -268,7 +269,7 @@ impl AdmissionPolicy {
         } else if classes.is_uniform() {
             (CanonicalSpace::forest_class_count(n), true)
         } else if classes.has_symmetry() {
-            match classed_class_count_within(&classes, count_cap, Some(pricing_deadline)) {
+            match classed_class_count_within(&classes, count_cap, pricing_deadline) {
                 ClassedCount::Exact(count) => (count, true),
                 ClassedCount::ExceedsCap => (count_cap, false),
                 ClassedCount::DeadlineExpired | ClassedCount::Intractable => (raw, false),
@@ -432,6 +433,25 @@ mod tests {
         };
         assert!(estimate.cost > policy.reject_cost);
         assert!(estimate.plans_exact, "24^24 is the exact raw space");
+    }
+
+    #[test]
+    fn an_unrepresentable_pricing_budget_means_no_deadline() {
+        // `Instant + Duration::MAX` overflows; the pricing pass must treat it
+        // as "no deadline" and count the tiered space exactly.
+        let mut specs = vec![(2.0, 0.5); 5];
+        specs.extend([(1.0, 0.8); 5]);
+        let app = Application::independent(&specs);
+        let policy = AdmissionPolicy {
+            pricing_budget: Duration::MAX,
+            ..AdmissionPolicy::for_budget(&budget())
+        };
+        let estimate = policy.estimate(&app, CommModel::Overlap, Objective::MinPeriod, &budget());
+        assert!(estimate.plans_exact, "{estimate:?}");
+        assert_eq!(
+            policy.decide(&app, CommModel::Overlap, Objective::MinPeriod, &budget()),
+            AdmissionDecision::Admit
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! Every request is also **priced before it is solved** ([`admission`]):
 //! an O(shapes) structural cost estimate decides Admit /
 //! AdmitWithDeadline / Shed / Reject before any enumeration starts,
-//! responses are a three-way [`ServeOutcome`](service::ServeOutcome)
+//! responses are a three-way [`ServeOutcome`]
 //! (`Exact` / `Degraded` / `Rejected`), solver panics are caught and
 //! quarantined instead of poisoning the queue, and a deterministic fault
 //! hook ([`PlanService::with_fault_injection`](service::PlanService::with_fault_injection))
@@ -37,14 +37,14 @@
 //!
 //! The service has two front doors over **one pipeline**: the synchronous
 //! [`serve_batch`](service::PlanService::serve_batch), and the
-//! event-loop [`AsyncFrontend`](frontend::AsyncFrontend), whose callers
-//! get a [`Ticket`](frontend::Ticket) from a bounded per-tenant ingress
+//! event-loop [`AsyncFrontend`], whose callers
+//! get a [`Ticket`] from a bounded per-tenant ingress
 //! queue instead of blocking, whose live backlog tightens the admission
 //! thresholds (adaptive load shedding with hysteresis), and whose worker
 //! heartbeats time stalled solves out into the quarantine — all decisions
 //! on one loop thread in logical ticks, so replays are deterministic
 //! across worker counts.  Both doors call the same stage functions of
-//! [`PlanService`](service::PlanService) (admit → execute → settle →
+//! [`PlanService`] (admit → execute → settle →
 //! respond) and count into one set of counters ([`stats`]).  The request
 //! lifecycle, end to end (`[async]` marks the event loop's own stages):
 //!

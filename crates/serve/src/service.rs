@@ -262,7 +262,7 @@ pub enum InjectedFault {
 /// * the invariance claim covers the **exhaustive** searches only, so the
 ///   collapse additionally requires that the solve provably stays
 ///   exhaustive: the forest space must fit the enumeration budget
-///   ([`CanonicalSpace::exhaustively_coverable`], owned by the engine next
+///   ([`CanonicalSpace::exhaustively_coverable`](fsw_sched::engine::CanonicalSpace::exhaustively_coverable), owned by the engine next
 ///   to the gating it mirrors — the over-cap fallback is label-following
 ///   hill climbing) and no `time_limit` may be set (an interrupted
 ///   enumeration returns a best-so-far that depends on the walk order,

@@ -12,7 +12,7 @@
 //!
 //! Per-ticket tallies (store hits, dedup joins, degraded answers and every
 //! per-ticket rejection) are derived from the outcome each door emits, in
-//! [`Counters::record`]; the per-solve ones (cold solves, panics, stalls,
+//! `Counters::record`; the per-solve ones (cold solves, panics, stalls,
 //! recoveries) are counted where the solve is dispatched and settled.
 
 use std::sync::Arc;

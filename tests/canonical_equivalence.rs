@@ -14,14 +14,11 @@ use rand::{Rng, SeedableRng};
 
 use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics};
 use fsw::sched::engine::{CanonicalSpace, PartialPrune, Symmetry};
-use fsw::sched::minlatency::{minimize_latency, MinLatencyOptions};
-use fsw::sched::minperiod::{
-    exhaustive_dag_search, exhaustive_forest_search, minimize_period, MinPeriodOptions,
-};
+use fsw::sched::minlatency::minimize_latency;
+use fsw::sched::minperiod::{exhaustive_dag_search, exhaustive_forest_search, minimize_period};
 use fsw::sched::oracle::{exhaustive_dag_best, exhaustive_forest_best, forest_representatives};
-use fsw::sched::outorder::{
-    outorder_period_search, outorder_period_search_bounded, OutOrderOptions,
-};
+use fsw::sched::orchestrator::SearchBudget;
+use fsw::sched::outorder::{outorder_period_search, outorder_period_search_bounded};
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{random_application, random_compatible_graph, RandomAppConfig};
@@ -172,8 +169,7 @@ fn uniform_solves_match_brute_force_end_to_end() {
     for case in 0..CASES / 2 {
         let app = random_uniform_app(5, &mut rng);
         for model in CommModel::ALL {
-            let options = MinPeriodOptions::for_model(model);
-            let result = minimize_period(&app, &options).unwrap();
+            let result = minimize_period(&app, model, &SearchBudget::default()).unwrap();
             assert!(result.exhaustive, "case {case} {model}");
             let brute = exhaustive_forest_best(&app, |g| {
                 PlanMetrics::compute(&app, g)
@@ -186,8 +182,7 @@ fn uniform_solves_match_brute_force_end_to_end() {
         // MINLATENCY composes the canonical forest phase with the
         // (possibly reduced) seeded DAG phase; the value must still match
         // the brute-force forest-then-DAG composition.
-        let options = MinLatencyOptions::for_model(CommModel::InOrder);
-        let result = minimize_latency(&app, &options).unwrap();
+        let result = minimize_latency(&app, CommModel::InOrder, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive, "case {case}: latency exhaustive");
         let forest =
             exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
@@ -208,7 +203,7 @@ fn uniform_n10_is_exhaustive_within_the_default_budget() {
     let app = Application::independent(&[(2.5, 0.7); 10]);
     assert!(CanonicalSpace::forest_class_count(10) <= 2_000_000);
     assert_eq!(CanonicalSpace::forest_class_count(10), 1_842);
-    let result = minimize_period(&app, &MinPeriodOptions::default()).unwrap();
+    let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
     assert!(result.exhaustive);
 }
 
@@ -218,17 +213,21 @@ fn uniform_n10_is_exhaustive_within_the_default_budget() {
 #[test]
 fn outorder_bound_never_prunes_the_optimum() {
     let mut rng = StdRng::seed_from_u64(0xCA05);
-    let opts = OutOrderOptions::default();
+    // The 20 000-ordering INORDER fallback cap this test was written against.
+    let budget = SearchBudget {
+        max_orderings: 20_000,
+        ..SearchBudget::default()
+    };
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::independent(4), &mut rng);
         let graph = random_compatible_graph(&app, 0.5, &mut rng);
-        let unbounded = outorder_period_search(&app, &graph, &opts).unwrap();
+        let unbounded = outorder_period_search(&app, &graph, &budget).unwrap();
         validate_oplist(&app, &graph, &unbounded.oplist, CommModel::OutOrder)
             .unwrap_or_else(|v| panic!("case {case}: {v:?}"));
         for factor in [1.0, 1.5, 10.0] {
             let cutoff = unbounded.period * factor;
             let bounded =
-                outorder_period_search_bounded(&app, &graph, &opts, Exec::serial(), cutoff)
+                outorder_period_search_bounded(&app, &graph, &budget, Exec::serial(), cutoff)
                     .unwrap()
                     .expect("optimum within cutoff is never pruned");
             assert_eq!(bounded.period, unbounded.period, "case {case} x{factor}");
@@ -237,7 +236,7 @@ fn outorder_bound_never_prunes_the_optimum() {
         }
         for factor in [0.3, 0.8, 0.999] {
             let cutoff = unbounded.period * factor;
-            match outorder_period_search_bounded(&app, &graph, &opts, Exec::serial(), cutoff)
+            match outorder_period_search_bounded(&app, &graph, &budget, Exec::serial(), cutoff)
                 .unwrap()
             {
                 None => assert!(

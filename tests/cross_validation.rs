@@ -9,12 +9,22 @@ use fsw::sched::latency::{multiport_proportional_latency, oneport_latency_search
 use fsw::sched::oneport::{
     inorder_oplist_for_orderings, inorder_period_for_orderings, oneport_period_search, OnePortStyle,
 };
-use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
+use fsw::sched::orchestrator::SearchBudget;
+use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::overlap::overlap_period_oplist;
 use fsw::sched::tree::tree_latency;
 use fsw::sched::CommOrderings;
 use fsw::sim::{replay_oplist, simulate_inorder};
 use fsw::workloads::{random_application, random_dag_graph, random_forest_graph, RandomAppConfig};
+
+/// The default budget with the 20 000-ordering INORDER fallback cap the
+/// OUTORDER checks were written against.
+fn outorder_budget() -> SearchBudget {
+    SearchBudget {
+        max_orderings: 20_000,
+        ..SearchBudget::default()
+    }
+}
 
 /// Every schedule produced by every orchestrator validates under its model and
 /// respects the corresponding lower bound.
@@ -40,7 +50,7 @@ fn schedulers_produce_valid_schedules_on_random_dags() {
         assert!(inorder.period >= metrics.period_lower_bound(CommModel::InOrder) - 1e-9);
 
         // OUTORDER search: valid, between the bound and the INORDER value.
-        let outorder = outorder_period_search(&app, &graph, &OutOrderOptions::default()).unwrap();
+        let outorder = outorder_period_search(&app, &graph, &outorder_budget()).unwrap();
         validate_oplist(&app, &graph, &outorder.oplist, CommModel::OutOrder)
             .unwrap_or_else(|v| panic!("trial {trial}: {v:?}"));
         assert!(outorder.period >= outorder.lower_bound - 1e-9);
@@ -119,7 +129,7 @@ fn model_period_ordering_holds() {
         let app = random_application(&RandomAppConfig::independent(5), &mut rng);
         let graph = random_dag_graph(5, 0.4, &mut rng);
         let overlap = overlap_period_oplist(&app, &graph).unwrap().period();
-        let outorder = outorder_period_search(&app, &graph, &OutOrderOptions::default())
+        let outorder = outorder_period_search(&app, &graph, &outorder_budget())
             .unwrap()
             .period;
         let inorder = oneport_period_search(&app, &graph, OnePortStyle::InOrder, 2_000)

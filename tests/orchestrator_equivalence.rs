@@ -1,8 +1,9 @@
 //! Property tests for the unified orchestrator (seeded random instances):
 //!
 //! * `orchestrator::solve()` returns **bit-identical** periods / latencies to
-//!   the legacy per-model entry points it replaces, for every communication
-//!   model and both objectives, on fixed graphs and in plan search;
+//!   the per-model searches it composes (the ordering searches on fixed
+//!   graphs, `minimize_period` / `minimize_latency` in plan search), for
+//!   every communication model and both objectives;
 //! * the thread-parallel exhaustive searches return **bit-identical** results
 //!   to their serial runs, including tie-breaking (the chosen graph and
 //!   orderings match, not just the value).
@@ -12,14 +13,12 @@ use rand::SeedableRng;
 
 use fsw::core::{CommModel, ExecutionGraph};
 use fsw::sched::engine::{PartialPrune, Symmetry};
-use fsw::sched::latency::{oneport_latency_search, oneport_latency_search_exec};
-use fsw::sched::minlatency::{minimize_latency, MinLatencyOptions};
-use fsw::sched::minperiod::{
-    exhaustive_forest_search, minimize_period, MinPeriodOptions, SearchOutcome,
-};
-use fsw::sched::oneport::{oneport_period_search, oneport_period_search_exec, OnePortStyle};
+use fsw::sched::latency::{oneport_latency_search, oneport_latency_search_bounded};
+use fsw::sched::minlatency::minimize_latency;
+use fsw::sched::minperiod::{exhaustive_forest_search, minimize_period, SearchOutcome};
+use fsw::sched::oneport::{oneport_period_search, oneport_period_search_bounded, OnePortStyle};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
-use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
+use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::overlap::overlap_period_oplist;
 use fsw::sched::{CommOrderings, Exec};
 use fsw::workloads::{random_application, random_compatible_graph, RandomAppConfig};
@@ -30,8 +29,8 @@ fn graph_edges(graph: &ExecutionGraph) -> Vec<(usize, usize)> {
     graph.edges().collect()
 }
 
-/// Fixed-graph orchestration: `solve()` equals the legacy per-model entry
-/// points bit-for-bit, for both objectives.
+/// Fixed-graph orchestration: `solve()` equals the per-model orchestration
+/// searches bit-for-bit, for both objectives.
 #[test]
 fn fixed_graph_solve_matches_legacy() {
     let mut rng = StdRng::seed_from_u64(0xE1);
@@ -46,10 +45,10 @@ fn fixed_graph_solve_matches_legacy() {
             &budget,
         )
         .unwrap();
-        let legacy = overlap_period_oplist(&app, &graph).unwrap();
+        let direct = overlap_period_oplist(&app, &graph).unwrap();
         assert_eq!(
             overlap.value,
-            legacy.period(),
+            direct.period(),
             "case {case}: OVERLAP period"
         );
 
@@ -58,13 +57,13 @@ fn fixed_graph_solve_matches_legacy() {
             &budget,
         )
         .unwrap();
-        let legacy =
+        let direct =
             oneport_period_search(&app, &graph, OnePortStyle::InOrder, budget.max_orderings)
                 .unwrap();
-        assert_eq!(inorder.value, legacy.period, "case {case}: INORDER period");
+        assert_eq!(inorder.value, direct.period, "case {case}: INORDER period");
         assert_eq!(
             inorder.orderings.as_ref(),
-            Some(&legacy.orderings),
+            Some(&direct.orderings),
             "case {case}: INORDER orderings"
         );
 
@@ -73,13 +72,9 @@ fn fixed_graph_solve_matches_legacy() {
             &budget,
         )
         .unwrap();
-        let legacy_opts = OutOrderOptions {
-            inorder_exhaustive_limit: budget.max_orderings,
-            ..OutOrderOptions::default()
-        };
-        let legacy = outorder_period_search(&app, &graph, &legacy_opts).unwrap();
+        let direct = outorder_period_search(&app, &graph, &budget).unwrap();
         assert_eq!(
-            outorder.value, legacy.period,
+            outorder.value, direct.period,
             "case {case}: OUTORDER period"
         );
 
@@ -89,18 +84,18 @@ fn fixed_graph_solve_matches_legacy() {
             &budget,
         )
         .unwrap();
-        let legacy = oneport_latency_search(&app, &graph, budget.max_orderings).unwrap();
-        assert_eq!(latency.value, legacy.latency, "case {case}: latency");
+        let direct = oneport_latency_search(&app, &graph, budget.max_orderings).unwrap();
+        assert_eq!(latency.value, direct.latency, "case {case}: latency");
         assert_eq!(
             latency.orderings.as_ref(),
-            Some(&legacy.orderings),
+            Some(&direct.orderings),
             "case {case}: latency orderings"
         );
     }
 }
 
-/// Plan search: `solve()` equals the legacy `minimize_period` /
-/// `minimize_latency` bit-for-bit (value and chosen graph).
+/// Plan search: `solve()` equals the plan searches `minimize_period` /
+/// `minimize_latency` alone bit-for-bit (value and chosen graph).
 #[test]
 fn plan_search_solve_matches_legacy() {
     let mut rng = StdRng::seed_from_u64(0xE2);
@@ -110,24 +105,24 @@ fn plan_search_solve_matches_legacy() {
         for model in CommModel::ALL {
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinPeriod), &budget).unwrap();
-            let legacy = minimize_period(&app, &MinPeriodOptions::for_model(model)).unwrap();
-            assert_eq!(solution.value, legacy.period, "case {case} {model}: period");
+            let direct = minimize_period(&app, model, &budget).unwrap();
+            assert_eq!(solution.value, direct.period, "case {case} {model}: period");
             assert_eq!(
                 graph_edges(&solution.graph),
-                graph_edges(&legacy.graph),
+                graph_edges(&direct.graph),
                 "case {case} {model}: period graph"
             );
 
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinLatency), &budget).unwrap();
-            let legacy = minimize_latency(&app, &MinLatencyOptions::for_model(model)).unwrap();
+            let direct = minimize_latency(&app, model, &budget).unwrap();
             assert_eq!(
-                solution.value, legacy.latency,
+                solution.value, direct.latency,
                 "case {case} {model}: latency"
             );
             assert_eq!(
                 graph_edges(&solution.graph),
-                graph_edges(&legacy.graph),
+                graph_edges(&direct.graph),
                 "case {case} {model}: latency graph"
             );
         }
@@ -135,7 +130,7 @@ fn plan_search_solve_matches_legacy() {
 }
 
 /// Constrained applications follow the DAG-enumeration path; the orchestrator
-/// must match the legacy solvers there too.
+/// must match the plan search there too.
 #[test]
 fn constrained_plan_search_matches_legacy() {
     let mut rng = StdRng::seed_from_u64(0xE3);
@@ -145,9 +140,9 @@ fn constrained_plan_search_matches_legacy() {
         for model in CommModel::ALL {
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinPeriod), &budget).unwrap();
-            let legacy = minimize_period(&app, &MinPeriodOptions::for_model(model)).unwrap();
-            assert_eq!(solution.value, legacy.period, "case {case} {model}");
-            assert_eq!(graph_edges(&solution.graph), graph_edges(&legacy.graph));
+            let direct = minimize_period(&app, model, &budget).unwrap();
+            assert_eq!(solution.value, direct.period, "case {case} {model}");
+            assert_eq!(graph_edges(&solution.graph), graph_edges(&direct.graph));
             solution.graph.respects(&app).unwrap();
         }
     }
@@ -207,21 +202,25 @@ fn parallel_searches_equal_serial() {
         let serial_p = oneport_period_search(&app, &graph, OnePortStyle::InOrder, 50_000).unwrap();
         let serial_l = oneport_latency_search(&app, &graph, 50_000).unwrap();
         for threads in [2, 5] {
-            let par_p = oneport_period_search_exec(
+            let par_p = oneport_period_search_bounded(
                 &app,
                 &graph,
                 OnePortStyle::InOrder,
                 50_000,
                 Exec::threaded(threads),
+                f64::INFINITY,
             )
+            .unwrap()
             .unwrap();
             assert_eq!(serial_p.period, par_p.period, "case {case} x{threads}");
             assert_eq!(
                 serial_p.orderings, par_p.orderings,
                 "case {case} x{threads}"
             );
-            let par_l =
-                oneport_latency_search_exec(&app, &graph, 50_000, Exec::threaded(threads)).unwrap();
+            let exec = Exec::threaded(threads);
+            let par_l = oneport_latency_search_bounded(&app, &graph, 50_000, exec, f64::INFINITY)
+                .unwrap()
+                .unwrap();
             assert_eq!(serial_l.latency, par_l.latency, "case {case} x{threads}");
             assert_eq!(
                 serial_l.orderings, par_l.orderings,
@@ -264,7 +263,7 @@ fn parallel_solve_equals_serial_solve() {
 
 /// The canonical path is deterministic under parallelism: uniform-weight
 /// solves (symmetry-reduced enumeration) are bit-identical for every thread
-/// count and split depth, value and winner alike.
+/// count (and the split depth it derives), value and winner alike.
 #[test]
 fn canonical_parallel_solve_equals_serial() {
     for shared in [(2.0, 0.5), (1.0, 1.5)] {

@@ -4,7 +4,8 @@
 use fsw::core::{validate_oplist, CommModel, PlanMetrics};
 use fsw::sched::latency::{multiport_proportional_latency, oneport_latency_search};
 use fsw::sched::oneport::{oneport_period_search, OnePortStyle};
-use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
+use fsw::sched::orchestrator::SearchBudget;
+use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::overlap::{overlap_period_lower_bound, overlap_period_oplist};
 use fsw::sim::{replay_oplist, simulate_inorder};
 use fsw::workloads::{counterexample_b1, counterexample_b2, counterexample_b3, section23};
@@ -25,7 +26,12 @@ fn e1_section23_periods_and_latency() {
     assert!((replay.period - 4.0).abs() < 1e-9);
 
     // OUTORDER: optimal period 7 (the one-port lower bound is reached).
-    let outorder = outorder_period_search(app, graph, &OutOrderOptions::default()).unwrap();
+    // The 20 000-ordering INORDER fallback cap of the published run.
+    let budget = SearchBudget {
+        max_orderings: 20_000,
+        ..SearchBudget::default()
+    };
+    let outorder = outorder_period_search(app, graph, &budget).unwrap();
     assert!(outorder.optimal);
     assert!((outorder.period - 7.0).abs() < 1e-9);
     validate_oplist(app, graph, &outorder.oplist, CommModel::OutOrder).unwrap();

@@ -29,14 +29,13 @@ use rand::{Rng, SeedableRng};
 use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses};
 use fsw::sched::engine::frontier::{streamed_canonical_search, DEFAULT_FRONTIER_CAP};
 use fsw::sched::engine::{CanonicalSpace, PartialPrune, Symmetry};
-use fsw::sched::minlatency::{minimize_latency, MinLatencyOptions};
-use fsw::sched::minperiod::{
-    exhaustive_forest_search, minimize_period, MinPeriodOptions, PeriodEvaluation,
-};
+use fsw::sched::minlatency::minimize_latency;
+use fsw::sched::minperiod::{exhaustive_forest_search, minimize_period, PeriodEvaluation};
 use fsw::sched::oracle::{
     classed_representatives, classed_scan, exhaustive_forest_best, forest_representatives,
 };
-use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
+use fsw::sched::orchestrator::SearchBudget;
+use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{random_application, tiered_query_optimization, RandomAppConfig};
@@ -216,6 +215,16 @@ fn streamed_winner_equals_the_classed_scan_on_canonical_spaces() {
     }
 }
 
+/// The default budget with orchestrated candidate evaluation and the given
+/// ordering cap.
+fn orchestrated_budget(max_orderings: usize) -> SearchBudget {
+    SearchBudget {
+        max_orderings,
+        ..SearchBudget::default()
+    }
+    .with_period_evaluation(PeriodEvaluation::Orchestrated)
+}
+
 /// Full solver stack on multi-class instances: `minimize_period` (classed
 /// canonical path, default budget) equals the brute-force optimum, and
 /// `minimize_latency`'s forest phase does too.
@@ -225,8 +234,7 @@ fn multiclass_solves_match_brute_force_end_to_end() {
     for case in 0..CASES / 2 {
         let app = random_multiclass_app(5, &mut rng);
         for model in CommModel::ALL {
-            let options = MinPeriodOptions::for_model(model);
-            let result = minimize_period(&app, &options).unwrap();
+            let result = minimize_period(&app, model, &SearchBudget::default()).unwrap();
             assert!(result.exhaustive, "case {case} {model}");
             let brute = exhaustive_forest_best(&app, |g| {
                 PlanMetrics::compute(&app, g)
@@ -238,8 +246,7 @@ fn multiclass_solves_match_brute_force_end_to_end() {
         }
         // MINLATENCY: the forest phase is classed-reduced; the DAG phase may
         // only improve on it.
-        let options = MinLatencyOptions::for_model(CommModel::InOrder);
-        let result = minimize_latency(&app, &options).unwrap();
+        let result = minimize_latency(&app, CommModel::InOrder, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive, "case {case}: latency exhaustive");
         let forest =
             exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
@@ -264,18 +271,11 @@ fn orchestrated_inorder_on_multiclass_keeps_the_exact_full_path() {
     let mut rng = StdRng::seed_from_u64(0x5009);
     for case in 0..CASES / 2 {
         let app = random_multiclass_app(4, &mut rng);
-        let evaluation = PeriodEvaluation::Orchestrated {
-            exhaustive_limit: 2_000,
-        };
-        let options = MinPeriodOptions {
-            model: CommModel::InOrder,
-            evaluation,
-            ..MinPeriodOptions::default()
-        };
-        let result = minimize_period(&app, &options).unwrap();
+        let budget = orchestrated_budget(2_000);
+        let result = minimize_period(&app, CommModel::InOrder, &budget).unwrap();
         assert!(result.exhaustive, "case {case}");
         let brute = exhaustive_forest_best(&app, |g| {
-            fsw::sched::minperiod::evaluate_period(&app, g, CommModel::InOrder, evaluation)
+            fsw::sched::minperiod::evaluate_period(&app, g, CommModel::InOrder, &budget)
                 .unwrap_or(f64::INFINITY)
         })
         .unwrap();
@@ -297,21 +297,12 @@ fn outorder_canonical_memoisation_matches_canonical_brute_force() {
     for case in 0..CASES / 2 {
         let app = random_multiclass_app(4, &mut rng);
         let classes = WeightClasses::of(&app);
-        let exhaustive_limit = 2_000;
-        let options = MinPeriodOptions {
-            model: CommModel::OutOrder,
-            evaluation: PeriodEvaluation::Orchestrated { exhaustive_limit },
-            ..MinPeriodOptions::default()
-        };
-        let result = minimize_period(&app, &options).unwrap();
+        let budget = orchestrated_budget(2_000);
+        let result = minimize_period(&app, CommModel::OutOrder, &budget).unwrap();
         assert!(result.exhaustive, "case {case}");
-        let opts = OutOrderOptions {
-            inorder_exhaustive_limit: exhaustive_limit,
-            ..OutOrderOptions::default()
-        };
         let brute = exhaustive_forest_best(&app, |g| {
             let member = canonical_classed_member(&classes, g).expect("forest candidates");
-            outorder_period_search(&app, &member, &opts)
+            outorder_period_search(&app, &member, &budget)
                 .map(|r| r.period)
                 .unwrap_or(f64::INFINITY)
         })

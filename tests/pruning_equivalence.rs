@@ -13,9 +13,9 @@ use rand::SeedableRng;
 use fsw::core::{CommModel, ExecutionGraph, PlanMetrics};
 use fsw::sched::engine::{PartialPrune, Symmetry};
 use fsw::sched::latency::{oneport_latency_search, oneport_latency_search_bounded};
-use fsw::sched::minlatency::{evaluate_latency, minimize_latency, MinLatencyOptions};
+use fsw::sched::minlatency::{evaluate_latency, minimize_latency};
 use fsw::sched::minperiod::{
-    evaluate_period, exhaustive_forest_search, minimize_period, MinPeriodOptions, PeriodEvaluation,
+    evaluate_period, exhaustive_forest_search, minimize_period, PeriodEvaluation,
 };
 use fsw::sched::oneport::{oneport_period_search, oneport_period_search_bounded, OnePortStyle};
 use fsw::sched::oracle::{exhaustive_dag_best, exhaustive_forest_best};
@@ -89,26 +89,21 @@ fn minimize_period_matches_brute_force() {
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::independent(4), &mut rng);
         for model in CommModel::ALL {
-            for evaluation in [
-                PeriodEvaluation::LowerBound,
-                PeriodEvaluation::Orchestrated {
-                    exhaustive_limit: 2_000,
-                },
-            ] {
+            for evaluation in [PeriodEvaluation::LowerBound, PeriodEvaluation::Orchestrated] {
                 // OUTORDER's orchestrated evaluation runs a backtracking
                 // search per candidate: keep it to the cheap evaluation.
                 if model == CommModel::OutOrder && evaluation != PeriodEvaluation::LowerBound {
                     continue;
                 }
-                let options = MinPeriodOptions {
-                    model,
-                    evaluation,
-                    ..MinPeriodOptions::default()
-                };
-                let result = minimize_period(&app, &options).unwrap();
+                let budget = SearchBudget {
+                    max_orderings: 2_000,
+                    ..SearchBudget::default()
+                }
+                .with_period_evaluation(evaluation);
+                let result = minimize_period(&app, model, &budget).unwrap();
                 assert!(result.exhaustive, "case {case} {model} {evaluation:?}");
                 let brute = exhaustive_forest_best(&app, |g| {
-                    evaluate_period(&app, g, model, evaluation).unwrap_or(f64::INFINITY)
+                    evaluate_period(&app, g, model, &budget).unwrap_or(f64::INFINITY)
                 })
                 .unwrap();
                 assert_eq!(
@@ -133,10 +128,10 @@ fn constrained_minimize_period_matches_brute_force() {
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::constrained(4, 0.4), &mut rng);
         for model in CommModel::ALL {
-            let options = MinPeriodOptions::for_model(model);
-            let result = minimize_period(&app, &options).unwrap();
+            let budget = SearchBudget::default();
+            let result = minimize_period(&app, model, &budget).unwrap();
             let brute = exhaustive_dag_best(&app, 5, |g| {
-                evaluate_period(&app, g, model, options.evaluation).unwrap_or(f64::INFINITY)
+                evaluate_period(&app, g, model, &budget).unwrap_or(f64::INFINITY)
             })
             .unwrap();
             assert_eq!(brute.0, result.period, "case {case} {model}: value");
@@ -157,14 +152,14 @@ fn minimize_latency_matches_brute_force() {
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::independent(4), &mut rng);
         for model in CommModel::ALL {
-            let options = MinLatencyOptions::for_model(model);
-            let result = minimize_latency(&app, &options).unwrap();
+            let budget = SearchBudget::default();
+            let result = minimize_latency(&app, model, &budget).unwrap();
             assert!(result.exhaustive, "case {case} {model}");
             let forest =
                 exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
                     .unwrap();
-            let dag = exhaustive_dag_best(&app, options.dag_enumeration_max_n, |g| {
-                evaluate_latency(&app, g, &options).unwrap_or(f64::INFINITY)
+            let dag = exhaustive_dag_best(&app, budget.dag_enumeration_max_n, |g| {
+                evaluate_latency(&app, g, model, &budget).unwrap_or(f64::INFINITY)
             })
             .unwrap();
             let (expected_value, expected_graph) = if dag.0 < forest.0 - 1e-12 {
@@ -289,19 +284,19 @@ fn canonical_minimize_period_matches_brute_force_on_uniform_weights() {
         let app = fsw::core::Application::independent(&[shared; 5]);
         let _ = &mut rng;
         for model in CommModel::ALL {
-            let options = MinPeriodOptions::for_model(model);
-            let result = minimize_period(&app, &options).unwrap();
+            let budget = SearchBudget::default();
+            let result = minimize_period(&app, model, &budget).unwrap();
             assert!(result.exhaustive, "case {case} {model}");
             let brute = exhaustive_forest_best(&app, |g| {
-                evaluate_period(&app, g, model, options.evaluation).unwrap_or(f64::INFINITY)
+                evaluate_period(&app, g, model, &budget).unwrap_or(f64::INFINITY)
             })
             .unwrap();
             assert_eq!(brute.0, result.period, "case {case} {model}: value");
             // The canonical winner is a representative of an optimal orbit:
             // it must achieve the optimum itself (the labelled witness may
             // differ from the raw enumeration's — the documented tie-break).
-            let winner_value = evaluate_period(&app, &result.graph, model, options.evaluation)
-                .unwrap_or(f64::INFINITY);
+            let winner_value =
+                evaluate_period(&app, &result.graph, model, &budget).unwrap_or(f64::INFINITY);
             assert_eq!(winner_value, result.period, "case {case} {model}: winner");
         }
     }

@@ -10,8 +10,18 @@ use fsw::rn3dm::{
     Rn3dmInstance,
 };
 use fsw::sched::latency::oneport_latency_search;
-use fsw::sched::outorder::{outorder_schedule_at, OutOrderOptions};
+use fsw::sched::orchestrator::SearchBudget;
+use fsw::sched::outorder::outorder_schedule_at;
 use fsw::sched::tree::tree_latency;
+
+/// The default budget with the deeper OUTORDER backtracking search the
+/// gadget's tight period needs.
+fn gadget_budget() -> SearchBudget {
+    SearchBudget {
+        outorder_node_budget: 2_000_000,
+        ..SearchBudget::default()
+    }
+}
 
 /// E5 — Proposition 2 gadget: a YES RN3DM instance yields an execution graph
 /// that admits an OUTORDER operation list of period exactly 2n+3.
@@ -21,17 +31,10 @@ fn e5_prop2_yes_instances_reach_the_bound() {
     for n in 2..=4 {
         let (inst, _) = yes_instance(n, &mut rng);
         let gadget = prop2_period_outorder(&inst);
-        let oplist = outorder_schedule_at(
-            &gadget.app,
-            &gadget.graph,
-            gadget.bound,
-            &OutOrderOptions {
-                node_budget: 2_000_000,
-                ..OutOrderOptions::default()
-            },
-        )
-        .unwrap()
-        .unwrap_or_else(|| panic!("n = {n}: no schedule at the bound for a YES instance"));
+        let oplist =
+            outorder_schedule_at(&gadget.app, &gadget.graph, gadget.bound, &gadget_budget())
+                .unwrap()
+                .unwrap_or_else(|| panic!("n = {n}: no schedule at the bound for a YES instance"));
         assert!((oplist.period() - gadget.bound).abs() < 1e-9);
         validate_oplist(&gadget.app, &gadget.graph, &oplist, CommModel::OutOrder)
             .unwrap_or_else(|v| panic!("n = {n}: {v:?}"));
@@ -57,16 +60,8 @@ fn e5_prop2_no_instances_need_multi_window_schedules() {
     };
     assert!(!inst.is_yes());
     let gadget = prop2_period_outorder(&inst);
-    let found = outorder_schedule_at(
-        &gadget.app,
-        &gadget.graph,
-        gadget.bound,
-        &OutOrderOptions {
-            node_budget: 2_000_000,
-            ..OutOrderOptions::default()
-        },
-    )
-    .unwrap();
+    let found =
+        outorder_schedule_at(&gadget.app, &gadget.graph, gadget.bound, &gadget_budget()).unwrap();
     if let Some(oplist) = found {
         // The schedule must still satisfy every stated OUTORDER rule...
         validate_oplist(&gadget.app, &gadget.graph, &oplist, CommModel::OutOrder)
